@@ -197,7 +197,7 @@ void BM_HeaderScan(benchmark::State &State) {
 }
 BENCHMARK(BM_HeaderScan);
 
-/// The same compatibility scan done the v1 way — every file fully
+/// The same compatibility scan done eagerly — every file fully
 /// deserialized and CRC-checked — as the baseline BM_HeaderScan is
 /// measured against.
 void BM_DatabaseEagerScan(benchmark::State &State) {

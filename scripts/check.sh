@@ -31,12 +31,16 @@
 #                                    --deep module-bound re-check)
 #   scripts/check.sh --xip           execute-in-place soak: runs the
 #                                    xip_test and fault_injection_test
-#                                    binaries plus the shared_desktop
-#                                    login-storm demo repeatedly under
-#                                    ASan and then TSan (the mapped-
-#                                    payload lifetime and concurrent
-#                                    sharing paths are exactly what
-#                                    those sanitizers catch)
+#                                    binaries, the pcc_tests store
+#                                    contract suite (Backends/*, which
+#                                    includes the stale-v1-slot miss)
+#                                    and hostile-header test, plus the
+#                                    shared_desktop login-storm demo
+#                                    repeatedly under ASan and then
+#                                    TSan (the mapped-payload lifetime
+#                                    and concurrent sharing paths are
+#                                    exactly what those sanitizers
+#                                    catch)
 #   scripts/check.sh --fleet         fleet smoke: a small pcc-fleetsim
 #                                    run under ASan with --verify (the
 #                                    tiered run must converge and beat
@@ -104,12 +108,14 @@ if [ "${1:-}" = "--xip" ]; then
     SOAK="$ROOT/build-$SAN"
     cmake -B "$SOAK" -S "$ROOT" -DPCC_SANITIZE=$SAN
     cmake --build "$SOAK" -j --target xip_test \
-      --target fault_injection_test --target shared_desktop
+      --target fault_injection_test --target shared_desktop \
+      --target pcc_tests
     I=1
     while [ "$I" -le "$ITERS" ]; do
       echo "== xip soak ($SAN) iteration $I/$ITERS =="
       "$SOAK/tests/xip_test"
       "$SOAK/tests/fault_injection_test"
+      "$SOAK/tests/pcc_tests" --gtest_filter='Backends/*:Database.ResealedModuleCountIsRejectedCleanly'
       "$SOAK/examples/shared_desktop"
       I=$((I + 1))
     done

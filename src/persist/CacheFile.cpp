@@ -48,12 +48,10 @@ uint64_t CacheFile::dataBytes() const {
 }
 
 namespace {
-constexpr uint32_t LegacyFormatVersion = 2;
 
-/// Serialized size of one ModuleKey: u32 path length + path bytes +
-/// Base/Size + four u64 hashes.
+/// Serialized size of one ModuleKey.
 size_t moduleKeyBytes(const ModuleKey &Key) {
-  return 4 + Key.Path.size() + 4 + 4 + 4 * 8;
+  return ModuleKey::MinSerializedBytes + Key.Path.size();
 }
 
 size_t alignUp(size_t N, size_t Align) {
@@ -247,125 +245,8 @@ std::vector<uint8_t> CacheFile::serialize() const {
   return Writer.take();
 }
 
-std::vector<uint8_t> CacheFile::serializeLegacy() const {
-  ByteWriter Writer;
-  Writer.writeU32(LegacyCacheMagic);
-  Writer.writeU32(LegacyFormatVersion);
-  Writer.writeU64(EngineHash);
-  Writer.writeU64(ToolHash);
-  Writer.writeU8(SpecBits);
-  Writer.writeU8(PositionIndependent ? 1 : 0);
-  Writer.writeU32(Generation);
-
-  Writer.writeU32(static_cast<uint32_t>(Modules.size()));
-  for (const ModuleKey &Key : Modules)
-    Key.serialize(Writer);
-
-  Writer.writeU32(static_cast<uint32_t>(Traces.size()));
-  for (const TraceRecord &Trace : Traces) {
-    Writer.writeU32(Trace.GuestStart);
-    Writer.writeU32(Trace.ModuleIndex);
-    Writer.writeU32(Trace.GuestInstCount);
-    Writer.writeBlob(Trace.Code);
-    Writer.writeU32(static_cast<uint32_t>(Trace.Exits.size()));
-    for (const ExitRecord &Exit : Trace.Exits) {
-      Writer.writeU8(Exit.Kind);
-      Writer.writeU32(Exit.InstIndex);
-      Writer.writeU32(Exit.Target);
-      Writer.writeU32(Exit.LinkedStart);
-    }
-    Writer.writeBlob(Trace.RelocMask);
-  }
-
-  uint32_t Checksum = crc32(Writer.bytes().data(), Writer.size());
-  Writer.writeU32(Checksum);
-  return Writer.take();
-}
-
-namespace {
-
-/// Eager v1 parse: whole-file trailing CRC, then field-by-field decode.
-ErrorOr<CacheFile> deserializeLegacy(const std::vector<uint8_t> &Bytes) {
-  if (Bytes.size() < 4)
-    return Status::error(ErrorCode::InvalidFormat,
-                         "cache file too small");
-  // Validate the CRC before trusting any field.
-  size_t PayloadSize = Bytes.size() - 4;
-  uint32_t Stored = 0;
-  for (unsigned I = 0; I != 4; ++I)
-    Stored |= static_cast<uint32_t>(Bytes[PayloadSize + I]) << (8 * I);
-  if (crc32(Bytes.data(), PayloadSize) != Stored)
-    return Status::error(ErrorCode::InvalidFormat,
-                         "cache file checksum mismatch");
-
-  ByteReader Reader(Bytes.data(), PayloadSize);
-  if (Reader.readU32() != LegacyCacheMagic)
-    return Status::error(ErrorCode::InvalidFormat, "bad cache magic");
-  if (Reader.readU32() != LegacyFormatVersion)
-    return Status::error(ErrorCode::VersionMismatch,
-                         "unsupported cache format version");
-
-  CacheFile File;
-  File.SourceFormat = 1;
-  File.EngineHash = Reader.readU64();
-  File.ToolHash = Reader.readU64();
-  File.SpecBits = Reader.readU8();
-  File.PositionIndependent = Reader.readU8() != 0;
-  File.Generation = Reader.readU32();
-
-  // Reservations are capped by the bytes actually present so a
-  // corrupted count cannot demand an absurd allocation (each record
-  // consumes at least one byte of payload).
-  uint32_t NumModules = Reader.readU32();
-  File.Modules.reserve(
-      std::min<size_t>(NumModules, Reader.remaining()));
-  for (uint32_t I = 0; I != NumModules && !Reader.failed(); ++I)
-    File.Modules.push_back(ModuleKey::deserialize(Reader));
-
-  uint32_t NumTraces = Reader.readU32();
-  File.Traces.reserve(std::min<size_t>(NumTraces, Reader.remaining()));
-  for (uint32_t I = 0; I != NumTraces && !Reader.failed(); ++I) {
-    TraceRecord Trace;
-    Trace.GuestStart = Reader.readU32();
-    Trace.ModuleIndex = Reader.readU32();
-    Trace.GuestInstCount = Reader.readU32();
-    Trace.Code = Reader.readBlob();
-    uint32_t NumExits = Reader.readU32();
-    Trace.Exits.reserve(std::min<size_t>(NumExits, Reader.remaining()));
-    for (uint32_t E = 0; E != NumExits && !Reader.failed(); ++E) {
-      ExitRecord Exit;
-      Exit.Kind = Reader.readU8();
-      Exit.InstIndex = Reader.readU32();
-      Exit.Target = Reader.readU32();
-      Exit.LinkedStart = Reader.readU32();
-      Trace.Exits.push_back(Exit);
-    }
-    Trace.RelocMask = Reader.readBlob();
-    if (Trace.ModuleIndex >= NumModules)
-      return Status::error(ErrorCode::InvalidFormat,
-                           "trace module index out of range");
-    File.Traces.push_back(std::move(Trace));
-  }
-
-  if (Reader.failed() || !Reader.atEnd())
-    return Status::error(ErrorCode::InvalidFormat,
-                         "truncated or oversized cache payload");
-  return File;
-}
-
-} // namespace
-
 ErrorOr<CacheFile> CacheFile::deserialize(
     const std::vector<uint8_t> &Bytes) {
-  if (Bytes.size() < 4)
-    return Status::error(ErrorCode::InvalidFormat,
-                         "cache file too small");
-  uint32_t Magic = 0;
-  for (unsigned I = 0; I != 4; ++I)
-    Magic |= static_cast<uint32_t>(Bytes[I]) << (8 * I);
-  if (Magic == LegacyCacheMagic)
-    return deserializeLegacy(Bytes);
-
   auto View = CacheFileView::open(Bytes, CacheFileView::Depth::Index);
   if (!View)
     return View.status();
@@ -381,8 +262,8 @@ ErrorOr<CacheFile> CacheFile::deserialize(
   File.Modules = View->modules();
   File.Traces.reserve(View->numTraces());
   for (uint32_t I = 0; I != View->numTraces(); ++I) {
-    // The eager path checks every payload CRC up front, matching the v1
-    // contract callers of deserialize() rely on.
+    // The eager path checks every payload CRC up front, the contract
+    // callers of deserialize() rely on.
     auto Rec = View->record(I);
     if (!Rec)
       return Rec.status();

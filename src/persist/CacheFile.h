@@ -16,8 +16,8 @@
 ///   * one record per trace: guest location, translated code bytes, exit
 ///     records including persisted trace links, and (in PIC mode) the
 ///     relocation mask that makes the translation position independent,
-///   * a CRC over the whole payload so corruption is detected before any
-///     trace is reused.
+///   * per-section and per-trace CRCs, so corruption is detected before
+///     any trace is reused.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -109,11 +109,11 @@ struct CacheFile {
   uint32_t Generation = 1;
   /// Low 16 bits of the last writer's process id (diagnostics only; the
   /// v2 header stores it in the former Reserved0 field, so old readers
-  /// ignore it). 0 when unknown (legacy files, unset by caller).
+  /// ignore it). 0 when unknown (unset by caller).
   uint16_t WriterTag = 0;
-  /// On-disk format the file was deserialized from (1 = legacy eager,
-  /// 2 = indexed, 3 = indexed XIP). Not serialized; serialize() emits
-  /// v2, or v3 when ExecuteInPlace is set.
+  /// On-disk format the file was deserialized from (2 = indexed,
+  /// 3 = indexed XIP). Not serialized; serialize() emits v2, or v3 when
+  /// ExecuteInPlace is set.
   uint32_t SourceFormat = 2;
 
   /// Highest per-trace optimization generation present (0 when every
@@ -140,14 +140,11 @@ struct CacheFile {
   /// Exact byte size serialize() would produce, without producing it
   /// (cost accounting charges by size before the store serializes).
   size_t serializedSize() const;
-  /// Serializes in the legacy v1 format (whole-file trailing CRC32).
-  /// Kept for migration tests and for writing donor fixtures.
-  std::vector<uint8_t> serializeLegacy() const;
-  /// Deserializes either format, dispatching on the magic; validates all
-  /// CRCs (v2: header, module table, trace index, and every trace
-  /// payload — this is the eager compatibility path; scans and priming
-  /// use CacheFileView instead). SourceFormat records which format the
-  /// bytes were in.
+  /// Deserializes a v2 or v3 file, validating every CRC (header, module
+  /// table, trace index, and every trace payload — this is the eager
+  /// path for tools and merges; scans and priming use CacheFileView
+  /// instead). A retired v1 file is VersionMismatch. SourceFormat
+  /// records which version the bytes were in.
   static ErrorOr<CacheFile> deserialize(const std::vector<uint8_t> &Bytes);
 
   /// Deep structural validation beyond what deserialize() enforces:

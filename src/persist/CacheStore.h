@@ -30,7 +30,6 @@
 #include "persist/CacheFile.h"
 #include "persist/CacheView.h"
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,12 +48,10 @@ namespace persist {
 /// statistics.
 enum class CacheTier : uint8_t { None, L1, L2 };
 
-/// A located cache, uniform over the eagerly deserialized legacy (v1)
-/// format and the indexed v2 view whose payloads stay unread until
-/// first execution. Exactly one of the two members is engaged.
+/// A located cache: the indexed view, whose payloads stay unread until
+/// first execution, plus where it came from.
 struct StoredCache {
-  std::optional<CacheFile> Eager;
-  std::optional<CacheFileView> View;
+  CacheFileView View;
 
   /// Tier that satisfied the open (None for flat backends).
   CacheTier Tier = CacheTier::None;
@@ -64,20 +61,6 @@ struct StoredCache {
   /// Modeled cycle charge for the remote fetch: request latency plus
   /// per-page transfer cost (0 for local hits).
   uint64_t RemoteFetchCycles = 0;
-
-  uint64_t engineHash() const {
-    return View ? View->engineHash() : Eager->EngineHash;
-  }
-  uint64_t toolHash() const {
-    return View ? View->toolHash() : Eager->ToolHash;
-  }
-  bool positionIndependent() const {
-    return View ? View->positionIndependent()
-                : Eager->PositionIndependent;
-  }
-  uint32_t generation() const {
-    return View ? View->generation() : Eager->Generation;
-  }
 };
 
 /// Aggregate statistics over a store (for operators and the
@@ -185,10 +168,10 @@ public:
 
   virtual bool exists(uint64_t LookupKey) const = 0;
 
-  /// Opens the cache at \p Ref for reuse: v2 caches come back as a
-  /// CRC-validated indexed view (payloads untouched), legacy caches as
-  /// an eager CacheFile. NotFound/IoError when there is nothing usable;
-  /// InvalidFormat/VersionMismatch on bad contents.
+  /// Opens the cache at \p Ref for reuse as a CRC-validated indexed
+  /// view (payloads untouched). NotFound/IoError when there is nothing
+  /// usable; InvalidFormat on bad contents, VersionMismatch on a file
+  /// of another format version (a retired v1 file included).
   virtual ErrorOr<StoredCache> openRef(const std::string &Ref,
                                        CacheFileView::Depth D) = 0;
 

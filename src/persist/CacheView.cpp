@@ -5,6 +5,7 @@
 #include "support/ByteStream.h"
 #include "support/Hashing.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace pcc;
@@ -14,27 +15,18 @@ static Status formatError(const char *Message) {
   return Status::error(ErrorCode::InvalidFormat, Message);
 }
 
-bool pcc::persist::isV2CacheFile(const std::string &Path) {
-  auto Prefix = readFileRange(Path, 0, 4);
-  if (!Prefix || Prefix->size() < 4)
-    return false;
-  uint32_t Magic = 0;
-  for (unsigned I = 0; I != 4; ++I)
-    Magic |= static_cast<uint32_t>((*Prefix)[I]) << (8 * I);
-  return Magic == v2::Magic;
-}
-
 Status CacheFileView::parseHeader(const uint8_t *Bytes, size_t Available) {
+  ByteReader Reader(Bytes, std::min(Available, v2::HeaderBytes));
+  uint32_t Magic = Reader.readU32();
+  // The magic is judged before the size: a retired v1 file (which may
+  // be shorter than a v2 header) is a stale version, not corruption.
+  if (Magic == LegacyCacheMagic)
+    return Status::error(ErrorCode::VersionMismatch,
+                         "legacy (v1) cache file");
   if (Available < v2::HeaderBytes)
     return formatError("cache file smaller than v2 header");
-  ByteReader Reader(Bytes, v2::HeaderBytes);
-  uint32_t Magic = Reader.readU32();
-  if (Magic != v2::Magic) {
-    if (Magic == LegacyCacheMagic)
-      return Status::error(ErrorCode::VersionMismatch,
-                           "legacy (v1) cache file");
+  if (Magic != v2::Magic)
     return formatError("bad cache magic");
-  }
   FormatVersion = Reader.readU32();
   if (FormatVersion != v2::Version && FormatVersion != v2::XipVersion)
     return Status::error(ErrorCode::VersionMismatch,
@@ -67,6 +59,13 @@ Status CacheFileView::parseHeader(const uint8_t *Bytes, size_t Available) {
   assert(!Reader.failed() && "fixed-size header read cannot fail");
   if (crc32(Bytes, v2::HeaderBytes - 4) != HeaderCrc)
     return formatError("cache header checksum mismatch");
+  // The header CRC only proves the header is self-consistent — any
+  // writer can reseal it. Every serialized module key occupies at least
+  // MinSerializedBytes of the module table, so a count the table cannot
+  // hold is rejected before anything is sized by it.
+  if (static_cast<uint64_t>(NumModules) * ModuleKey::MinSerializedBytes >
+      ModuleTableSize)
+    return formatError("module count exceeds module table size");
 
   // Section layout sanity: contiguous, in order, no overflow. A v3
   // (XIP) payload may sit past the trace index by less than one page of

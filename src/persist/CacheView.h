@@ -115,13 +115,10 @@ inline constexpr size_t CertSectHeaderBytes = 16;
 inline constexpr size_t CertDirEntryBytes = 8;
 } // namespace v2
 
-/// Legacy (v1) on-disk magic, kept for read compatibility.
+/// Magic of the retired v1 eager format. Such files are no longer read:
+/// they open as VersionMismatch (a miss, never quarantined) and the next
+/// finalize overwrites the slot.
 inline constexpr uint32_t LegacyCacheMagic = 0x31434350; // "PCC1"
-
-/// True when the file at \p Path starts with the v2 magic. False on
-/// short, unreadable or legacy files — callers then take the eager v1
-/// path, which reports corruption itself.
-bool isV2CacheFile(const std::string &Path);
 
 /// One fixed-size trace-index entry.
 struct TraceIndexEntry {

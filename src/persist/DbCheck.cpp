@@ -267,149 +267,112 @@ std::optional<FileCheckReport> checkFile(DirectoryStore &Store,
       R.State = FileState::Corrupt;
   };
 
-  // Deep semantic sweep, shared by the v1 and v2 clean paths. Decides
-  // the final file state: a mismatch makes the file corrupt (or
-  // quarantined under Repair — semantically wrong code must leave the
-  // candidate set even though every checksum is fine); a rejected
-  // certificate the prover overruled makes the file corrupt on a
-  // report-only pass and is repaired in place (stripped or
-  // regenerated) when \p CanRewrite.
-  auto DeepVerdict = [&](CacheFile &File, bool CanRewrite) {
-    bool CertsDirty = false;
-    std::string Mismatch =
-        deepCheckFile(File, *Deep, Repair && CanRewrite, R, CertsDirty);
-    if (R.TracesMismatched != 0) {
-      R.Detail = Mismatch;
-      if (Repair &&
-          Store
-              .quarantineRef(
-                  Path, encodeQuarantineReason(
-                            QuarantineReasonCode::SemanticMismatch,
-                            Mismatch))
-              .ok())
-        R.State = FileState::Quarantined;
-      else
-        R.State = FileState::Corrupt;
-      return;
-    }
-    if (CertsDirty && CanRewrite) {
-      if (Status W = writeFileAtomic(Path, File.serialize(),
-                                     /*SyncToDisk=*/true);
-          !W.ok()) {
-        R.State = FileState::Unreadable;
-        R.Detail = W.toString();
-        return;
-      }
-      R.State = FileState::Repaired;
-      return;
-    }
-    if (R.CertsRejected != 0) {
-      R.State = FileState::Corrupt;
-      R.Detail = formatString(
-          "%u certificate(s) rejected; bodies re-proved by the full "
-          "validator",
-          R.CertsRejected);
-      return;
-    }
-    R.State = FileState::Clean;
-  };
-
   if (!fileExists(Path))
     return std::nullopt;
 
-  if (isV2CacheFile(Path)) {
-    // Index-deep open validates the header, module table and trace
-    // index CRCs; the payload sweep below covers what every runtime
-    // path defers to first execution.
-    auto View = CacheFileView::openFile(Path, CacheFileView::Depth::Index);
-    if (!View) {
-      if (View.status().code() == ErrorCode::NotFound)
-        return std::nullopt;
-      Condemn(View.status(), reasonCodeFor(View.status()));
+  // Index-deep open validates the header, module table and trace
+  // index CRCs; the payload sweep below covers what every runtime
+  // path defers to first execution.
+  auto View = CacheFileView::openFile(Path, CacheFileView::Depth::Index);
+  if (!View) {
+    if (View.status().code() == ErrorCode::NotFound)
+      return std::nullopt;
+    Condemn(View.status(), reasonCodeFor(View.status()));
+    return R;
+  }
+  CacheFile Out;
+  Out.EngineHash = View->engineHash();
+  Out.ToolHash = View->toolHash();
+  Out.SpecBits = View->specBits();
+  Out.PositionIndependent = View->positionIndependent();
+  // A salvage rewrite must not silently downgrade an XIP (v3) file
+  // to a materializing one: consumers mmap its payload in place and
+  // the repaired file must stay page-aligned and flagged.
+  Out.ExecuteInPlace = View->executeInPlace();
+  R.Xip = View->executeInPlace();
+  Out.Generation = View->generation();
+  Out.WriterTag = View->writerTag();
+  Out.Modules = View->modules();
+  for (uint32_t I = 0; I < View->numTraces(); ++I) {
+    auto Rec = View->record(I); // CRC-checks the code image.
+    if (!Rec) {
+      ++R.TracesDropped;
+      if (R.Detail.empty())
+        R.Detail = formatString("trace %u: %s", I,
+                                Rec.status().toString().c_str());
+      continue;
+    }
+    Out.Traces.push_back(Rec.take());
+    ++R.TracesKept;
+  }
+  if (R.TracesDropped == 0) {
+    // Structural validation on top of the CRCs: a file whose bytes
+    // are all intact can still carry nonsense (out-of-range exits,
+    // duplicate starts) if its writer was buggy.
+    if (Status V = Out.validate(); !V.ok()) {
+      Condemn(V, QuarantineReasonCode::StructuralInvalid);
       return R;
     }
-    CacheFile Out;
-    Out.EngineHash = View->engineHash();
-    Out.ToolHash = View->toolHash();
-    Out.SpecBits = View->specBits();
-    Out.PositionIndependent = View->positionIndependent();
-    // A salvage rewrite must not silently downgrade an XIP (v3) file
-    // to a materializing one: consumers mmap its payload in place and
-    // the repaired file must stay page-aligned and flagged.
-    Out.ExecuteInPlace = View->executeInPlace();
-    R.Xip = View->executeInPlace();
-    Out.Generation = View->generation();
-    Out.WriterTag = View->writerTag();
-    Out.Modules = View->modules();
-    for (uint32_t I = 0; I < View->numTraces(); ++I) {
-      auto Rec = View->record(I); // CRC-checks the code image.
-      if (!Rec) {
-        ++R.TracesDropped;
-        if (R.Detail.empty())
-          R.Detail = formatString("trace %u: %s", I,
-                                  Rec.status().toString().c_str());
-        continue;
-      }
-      Out.Traces.push_back(Rec.take());
-      ++R.TracesKept;
-    }
-    if (R.TracesDropped == 0) {
-      // Structural validation on top of the CRCs: a file whose bytes
-      // are all intact can still carry nonsense (out-of-range exits,
-      // duplicate starts) if its writer was buggy.
-      if (Status V = Out.validate(); !V.ok()) {
-        Condemn(V, QuarantineReasonCode::StructuralInvalid);
+    if (Deep) {
+      // Deep semantic sweep decides the final state: a mismatch makes
+      // the file corrupt (or quarantined under Repair — semantically
+      // wrong code must leave the candidate set even though every
+      // checksum is fine); a rejected certificate the prover overruled
+      // makes the file corrupt on a report-only pass and is repaired in
+      // place (stripped or regenerated) under Repair.
+      bool CertsDirty = false;
+      std::string Mismatch = deepCheckFile(Out, *Deep, Repair, R, CertsDirty);
+      if (R.TracesMismatched != 0) {
+        R.Detail = Mismatch;
+        if (Repair &&
+            Store
+                .quarantineRef(
+                    Path, encodeQuarantineReason(
+                              QuarantineReasonCode::SemanticMismatch,
+                              Mismatch))
+                .ok())
+          R.State = FileState::Quarantined;
+        else
+          R.State = FileState::Corrupt;
         return R;
       }
-      if (Deep) {
-        DeepVerdict(Out, /*CanRewrite=*/true);
+      if (CertsDirty) {
+        if (Status W = writeFileAtomic(Path, Out.serialize(),
+                                       /*SyncToDisk=*/true);
+            !W.ok()) {
+          R.State = FileState::Unreadable;
+          R.Detail = W.toString();
+          return R;
+        }
+        R.State = FileState::Repaired;
         return R;
       }
-      // Plain pass: self-contained certificate sweep (rejections are
-      // stripped in place under Repair — the trace survives on its
-      // intact payload, it just loses its fast-path proof).
-      std::string CertReject = certSweepFile(Out, Repair, R);
-      if (R.CertsRejected == 0) {
-        R.State = FileState::Clean;
-        return R;
-      }
-      R.Detail = CertReject;
-      if (!Repair) {
+      if (R.CertsRejected != 0) {
         R.State = FileState::Corrupt;
+        R.Detail = formatString(
+            "%u certificate(s) rejected; bodies re-proved by the full "
+            "validator",
+            R.CertsRejected);
         return R;
       }
-      if (Status W = writeFileAtomic(Path, Out.serialize(),
-                                     /*SyncToDisk=*/true);
-          !W.ok()) {
-        R.State = FileState::Unreadable;
-        R.Detail = W.toString();
-        return R;
-      }
-      R.State = FileState::Repaired;
+      R.State = FileState::Clean;
       return R;
     }
+    // Plain pass: self-contained certificate sweep (rejections are
+    // stripped in place under Repair — the trace survives on its
+    // intact payload, it just loses its fast-path proof).
+    std::string CertReject = certSweepFile(Out, Repair, R);
+    if (R.CertsRejected == 0) {
+      R.State = FileState::Clean;
+      return R;
+    }
+    R.Detail = CertReject;
     if (!Repair) {
       R.State = FileState::Corrupt;
       return R;
     }
-    // Salvage: keep the traces whose payloads survived, clear links
-    // into the dropped ones, and re-finalize in place. Identity fields
-    // and the generation carry over so the slot's merge discipline is
-    // undisturbed.
-    std::set<uint32_t> Kept;
-    for (const TraceRecord &T : Out.Traces)
-      Kept.insert(T.GuestStart);
-    for (TraceRecord &T : Out.Traces)
-      for (ExitRecord &E : T.Exits)
-        if (E.LinkedStart != 0 && !Kept.count(E.LinkedStart))
-          E.LinkedStart = 0;
-    if (Status V = Out.validate(); !V.ok()) {
-      // Damage beyond the payloads: not salvageable.
-      Condemn(V, QuarantineReasonCode::StructuralInvalid);
-      return R;
-    }
-    if (Status W =
-            writeFileAtomic(Path, Out.serialize(), /*SyncToDisk=*/true);
+    if (Status W = writeFileAtomic(Path, Out.serialize(),
+                                   /*SyncToDisk=*/true);
         !W.ok()) {
       R.State = FileState::Unreadable;
       R.Detail = W.toString();
@@ -418,33 +381,34 @@ std::optional<FileCheckReport> checkFile(DirectoryStore &Store,
     R.State = FileState::Repaired;
     return R;
   }
-
-  // Legacy v1: one whole-file CRC means corruption cannot be pinned to
-  // individual traces, so a bad file is quarantine material outright.
-  auto Bytes = readFile(Path);
-  if (!Bytes) {
-    if (Bytes.status().code() == ErrorCode::NotFound)
-      return std::nullopt;
-    Condemn(Bytes.status(), reasonCodeFor(Bytes.status()));
+  if (!Repair) {
+    R.State = FileState::Corrupt;
     return R;
   }
-  auto File = CacheFile::deserialize(*Bytes);
-  if (!File) {
-    Condemn(File.status(), reasonCodeFor(File.status()));
-    return R;
-  }
-  if (Status V = File->validate(); !V.ok()) {
+  // Salvage: keep the traces whose payloads survived, clear links
+  // into the dropped ones, and re-finalize in place. Identity fields
+  // and the generation carry over so the slot's merge discipline is
+  // undisturbed.
+  std::set<uint32_t> Kept;
+  for (const TraceRecord &T : Out.Traces)
+    Kept.insert(T.GuestStart);
+  for (TraceRecord &T : Out.Traces)
+    for (ExitRecord &E : T.Exits)
+      if (E.LinkedStart != 0 && !Kept.count(E.LinkedStart))
+        E.LinkedStart = 0;
+  if (Status V = Out.validate(); !V.ok()) {
+    // Damage beyond the payloads: not salvageable.
     Condemn(V, QuarantineReasonCode::StructuralInvalid);
     return R;
   }
-  R.TracesKept = static_cast<uint32_t>(File->Traces.size());
-  if (Deep) {
-    // Legacy v1 files predate certificates (and a rewrite would be a
-    // format upgrade), so no in-place certificate repair here.
-    DeepVerdict(*File, /*CanRewrite=*/false);
+  if (Status W =
+          writeFileAtomic(Path, Out.serialize(), /*SyncToDisk=*/true);
+      !W.ok()) {
+    R.State = FileState::Unreadable;
+    R.Detail = W.toString();
     return R;
   }
-  R.State = FileState::Clean;
+  R.State = FileState::Repaired;
   return R;
 }
 

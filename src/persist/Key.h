@@ -26,6 +26,7 @@
 #include "loader/Loader.h"
 #include "support/ByteStream.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -55,6 +56,10 @@ struct ModuleKey {
   bool matchesIgnoringBase(const ModuleKey &Other) const {
     return PicHash == Other.PicHash;
   }
+
+  /// Serialized size of a key with an empty path: u32 path length,
+  /// Base, Size and the four u64 hashes.
+  static constexpr size_t MinSerializedBytes = 4 + 4 + 4 + 4 * 8;
 
   void serialize(ByteWriter &Writer) const;
   static ModuleKey deserialize(ByteReader &Reader);

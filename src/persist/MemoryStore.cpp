@@ -26,21 +26,8 @@ bool MemoryStore::exists(uint64_t LookupKey) const {
 
 namespace {
 
-bool isLegacyImage(const std::vector<uint8_t> &Bytes) {
-  if (Bytes.size() < 4)
-    return false;
-  uint32_t Magic = 0;
-  for (unsigned I = 0; I != 4; ++I)
-    Magic |= static_cast<uint32_t>(Bytes[I]) << (8 * I);
-  return Magic == LegacyCacheMagic;
-}
-
 /// Parses generation without a full decode: 0 when unreadable.
 uint32_t imageGeneration(const std::vector<uint8_t> &Bytes) {
-  if (isLegacyImage(Bytes)) {
-    auto File = CacheFile::deserialize(Bytes);
-    return File ? File->Generation : 0;
-  }
   auto View =
       CacheFileView::open(Bytes, CacheFileView::Depth::HeaderOnly);
   return View ? View->generation() : 0;
@@ -85,17 +72,10 @@ ErrorOr<StoredCache> MemoryStore::openRef(const std::string &Ref,
     }
     return S;
   };
-  StoredCache Cache;
-  if (isLegacyImage(Bytes)) {
-    auto File = CacheFile::deserialize(Bytes);
-    if (!File)
-      return Reject(File.status());
-    Cache.Eager = File.take();
-    return Cache;
-  }
   auto View = CacheFileView::open(std::move(Bytes), D);
   if (!View)
     return Reject(View.status());
+  StoredCache Cache;
   Cache.View = View.take();
   return Cache;
 }
@@ -118,10 +98,14 @@ Status MemoryStore::put(uint64_t LookupKey, const CacheFile &File) {
 
 Status MemoryStore::putRef(const std::string &Ref,
                            const CacheFile &File) {
-  std::vector<uint8_t> Bytes = File.serialize();
+  putImage(Ref, File.serialize());
+  return Status::success();
+}
+
+void MemoryStore::putImage(const std::string &Ref,
+                           std::vector<uint8_t> Bytes) {
   std::lock_guard<std::mutex> Guard(Mutex);
   Slots[Ref] = std::move(Bytes);
-  return Status::success();
 }
 
 ErrorOr<PublishResult> MemoryStore::publish(uint64_t LookupKey,
@@ -164,13 +148,6 @@ MemoryStore::findCompatible(uint64_t EngineHash, uint64_t ToolHash) {
   std::lock_guard<std::mutex> Guard(Mutex);
   std::vector<std::string> Matches;
   for (const auto &[Ref, Bytes] : Slots) {
-    if (isLegacyImage(Bytes)) {
-      auto File = CacheFile::deserialize(Bytes);
-      if (File && File->EngineHash == EngineHash &&
-          File->ToolHash == ToolHash)
-        Matches.push_back(Ref);
-      continue;
-    }
     auto View =
         CacheFileView::open(Bytes, CacheFileView::Depth::HeaderOnly);
     if (View && View->engineHash() == EngineHash &&

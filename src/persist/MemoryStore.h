@@ -64,6 +64,12 @@ public:
   ErrorOr<std::vector<uint8_t>>
   readQuarantineAttachment(const std::string &FileName) override;
 
+  /// Stores raw image bytes at \p Ref without parsing them: the
+  /// in-memory counterpart of dropping a file into a directory store's
+  /// slot (stale-format and hostile-image fixtures). Opens judge the
+  /// bytes as they would any other slot.
+  void putImage(const std::string &Ref, std::vector<uint8_t> Bytes);
+
 private:
   /// A quarantined image plus the reason it was pulled aside.
   struct QuarantinedImage {

@@ -12,7 +12,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <condition_variable>
 #include <iterator>
+#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -95,9 +97,9 @@ PersistentSession::locateCache(dbi::Engine &Engine, PrimeResult &Result) {
   CacheStore &Store = *Db.backend();
   auto tryLoad = [&](const std::string &Ref,
                      bool IsOwn) -> ErrorOr<StoredCache> {
-    // Indexed open for v2 caches (header, module table and trace index
+    // Indexed open: header, module table and trace index are
     // CRC-validated here; trace payloads stay unread until first
-    // execution); eager deserialize for legacy ones. The store picks.
+    // execution.
     auto Cache = Store.openRef(Ref, CacheFileView::Depth::Index);
     if (Cache) {
       Result.CachePath = Ref;
@@ -170,18 +172,15 @@ ErrorOr<PrimeResult> PersistentSession::prime(dbi::Engine &Engine) {
   if (!Source)
     return Result; // No cache: start empty, still success.
 
-  uint64_t FileEngineHash = Source->engineHash();
-  uint64_t FileToolHash = Source->toolHash();
-  bool FilePic = Source->positionIndependent();
-  if (FileEngineHash != EngineHash) {
+  if (Source->View.engineHash() != EngineHash) {
     Result.RejectReason = "engine version mismatch";
     return Result;
   }
-  if (FileToolHash != ToolHash) {
+  if (Source->View.toolHash() != ToolHash) {
     Result.RejectReason = "tool key mismatch";
     return Result;
   }
-  if (FilePic != Opts.PositionIndependent) {
+  if (Source->View.positionIndependent() != Opts.PositionIndependent) {
     Result.RejectReason = "translation addressing mode mismatch";
     return Result;
   }
@@ -206,25 +205,17 @@ ErrorOr<PrimeResult> PersistentSession::prime(dbi::Engine &Engine) {
                            Source->RemoteFetchBytes,
                            Source->RemoteFetchCycles);
 
-  if (Source->View) {
-    // The session owns the view before installing: an XIP install hands
-    // it to the code cache as the keepalive of the borrowed payload
-    // mapping, and async payload jobs read its bytes from pool workers.
-    LoadedView =
-        std::make_shared<CacheFileView>(std::move(*Source->View));
-    Status S = installView(Engine, *LoadedView, Result);
-    if (!S.ok())
-      return S;
-    // Under XIP there is no decode work to offload; AsyncJobs stays
-    // empty and the queue is never created.
-    if (!AsyncJobs.empty())
-      startAsyncPrime(Engine, Result);
-  } else {
-    Status S = installCache(Engine, *Source->Eager, Result);
-    if (!S.ok())
-      return S;
-    LoadedCache = std::move(Source->Eager);
-  }
+  // The session owns the view before installing: an XIP install hands
+  // it to the code cache as the keepalive of the borrowed payload
+  // mapping, and async payload jobs read its bytes from pool workers.
+  LoadedView = std::make_shared<CacheFileView>(std::move(Source->View));
+  Status S = installView(Engine, Result);
+  if (!S.ok())
+    return S;
+  // Under XIP there is no decode work to offload; AsyncJobs stays empty
+  // and the queue is never created.
+  if (!AsyncJobs.empty())
+    startAsyncPrime(Engine, Result);
   if (Opts.SharedResidency && Result.TracesInstalled != 0) {
     // One shared physical copy per (cache file, generation): every
     // simulated process priming the same payload probes and populates
@@ -232,9 +223,8 @@ ErrorOr<PrimeResult> PersistentSession::prime(dbi::Engine &Engine) {
     // whether another process got there first — exactly the soft-fault
     // condition the cost model wants. The probe is attached on both the
     // XIP and materializing paths, so their stats stay bit-identical.
-    uint32_t Gen =
-        LoadedView ? LoadedView->generation() : LoadedCache->Generation;
-    uint64_t PayloadId = fnv1a64U64(Gen, fnv1a64(Result.CachePath));
+    uint64_t PayloadId =
+        fnv1a64U64(LoadedView->generation(), fnv1a64(Result.CachePath));
     SharedResidencyMap *Map = Opts.SharedResidency;
     Engine.setResidencyProbe([Map, PayloadId](uint32_t Page) {
       return Map->touch(PayloadId, Page);
@@ -413,22 +403,16 @@ void PersistentSession::startAsyncPrime(dbi::Engine &Engine,
     });
 }
 
-void PersistentSession::validateModules(
-    dbi::Engine &Engine, const std::vector<ModuleKey> &Persisted,
-    PrimeResult &Result, std::vector<int64_t> &Delta,
-    std::vector<std::pair<uint32_t, uint32_t>> &Region) {
+void PersistentSession::validateModules(dbi::Engine &Engine,
+                                        PrimeResult &Result) {
   const loader::LoadedImage &Image = Engine.machine().image();
-  const size_t NumModules = Persisted.size();
-  ModuleValidated.assign(NumModules, false);
-  ModuleLoadedNow.assign(NumModules, false);
-  Delta.assign(NumModules, 0);
-  Region.assign(NumModules, {0, 0});
-  for (size_t I = 0; I != NumModules; ++I) {
+  const std::vector<ModuleKey> &Persisted = LoadedView->modules();
+  Matches.assign(Persisted.size(), ModuleMatch());
+  for (size_t I = 0; I != Persisted.size(); ++I) {
     const ModuleKey &Old = Persisted[I];
     const LoadedModule *Now = findLoadedByPath(Image, Old.Path);
     if (!Now)
       continue; // Module absent this run; its traces stay on disk.
-    ModuleLoadedNow[I] = true;
     ModuleKey NowKey = ModuleKey::compute(*Now);
     bool Match = Opts.PositionIndependent
                      ? Old.matchesIgnoringBase(NowKey)
@@ -437,211 +421,36 @@ void PersistentSession::validateModules(
       // Key conflict: the binary changed or (without PIC) relocated.
       // All its persisted translations are invalid; the engine falls
       // back to retranslation.
+      Matches[I].State = ModuleState::Invalidated;
       ++Result.ModulesInvalidated;
       ++Engine.stats().ModulesInvalidated;
       continue;
     }
-    ModuleValidated[I] = true;
+    Matches[I] = {ModuleState::Validated,
+                  static_cast<int64_t>(NowKey.Base) -
+                      static_cast<int64_t>(Old.Base),
+                  NowKey.Base, NowKey.Size};
     ++Result.ModulesValidated;
-    Delta[I] = static_cast<int64_t>(NowKey.Base) -
-               static_cast<int64_t>(Old.Base);
-    Region[I] = {NowKey.Base, NowKey.Size};
   }
 }
 
-Status PersistentSession::installCache(dbi::Engine &Engine,
-                                       const CacheFile &File,
-                                       PrimeResult &Result) {
+Status PersistentSession::installView(dbi::Engine &Engine,
+                                      PrimeResult &Result) {
+  const CacheFileView &View = *LoadedView;
   dbi::CodeCache &Cache = Engine.cache();
+  validateModules(Engine, Result);
 
-  // Validate every persisted module key against the image loaded now.
-  std::vector<int64_t> Delta;
-  std::vector<std::pair<uint32_t, uint32_t>> Region;
-  validateModules(Engine, File.Modules, Result, Delta, Region);
-
-  // Build the mapped pool image from the usable trace records.
+  // One pass over the trace index validates every entry and builds the
+  // install list. Exits and links come from the trace index, whose CRC
+  // was already validated at open — so restoring links is safe even
+  // though the code payloads are still unverified.
   struct PendingInstall {
-    uint32_t NewStart = 0;
-    uint32_t GuestInstCount = 0;
-    uint32_t PoolOffset = 0;
-    uint32_t PoolBytes = 0;
-    uint32_t Heat = 0;
-    uint32_t OptGen = 0;
-    std::vector<dbi::TraceExit> Exits;
-    std::vector<uint32_t> LinkedStarts;
-    std::vector<uint8_t> Cert;
-  };
-  std::vector<PendingInstall> Installs;
-  std::vector<uint8_t> Pool;
-  std::unordered_set<uint32_t> SeenStarts;
-  Installs.reserve(File.Traces.size());
-  size_t TotalCode = 0;
-  for (const TraceRecord &Rec : File.Traces)
-    TotalCode += Rec.Code.size();
-  Pool.reserve(TotalCode);
-
-  for (const TraceRecord &Rec : File.Traces) {
-    if (!ModuleValidated[Rec.ModuleIndex]) {
-      ++Result.TracesSkipped;
-      continue;
-    }
-    const int64_t D = Delta[Rec.ModuleIndex];
-    const auto [RegionBase, RegionSize] = Region[Rec.ModuleIndex];
-    const uint32_t NewStart = static_cast<uint32_t>(Rec.GuestStart + D);
-    const size_t MinCodeBytes =
-        dbi::TracePrologueBytes +
-        static_cast<size_t>(Rec.GuestInstCount) * isa::InstructionSize;
-    bool Usable = NewStart >= RegionBase &&
-                  NewStart - RegionBase < RegionSize &&
-                  Rec.Code.size() >= MinCodeBytes &&
-                  !SeenStarts.count(NewStart);
-    if (!Usable) {
-      ++Result.TracesSkipped;
-      continue;
-    }
-
-    std::vector<uint8_t> Code = Rec.Code;
-    if (D != 0)
-      for (uint32_t I = 0; I != Rec.GuestInstCount; ++I)
-        if (Rec.relocBit(I))
-          rebaseImmediate(Code, I, D);
-
-    PendingInstall Install;
-    Install.NewStart = NewStart;
-    Install.GuestInstCount = Rec.GuestInstCount;
-    Install.Heat = Rec.Heat;
-    Install.OptGen = Rec.OptGen;
-    // A certificate binds to the exact stored body bytes, so a rebase
-    // invalidates it: the promoted trace is then re-proved in full at
-    // materialization (empty map entry).
-    if (Opts.CheckCertificates && Rec.OptGen > 0 && D == 0)
-      Install.Cert = Rec.Cert;
-    bool BadExit = false;
-    for (const ExitRecord &Exit : Rec.Exits) {
-      if (Exit.Kind > static_cast<uint8_t>(ExitKind::Halt)) {
-        BadExit = true;
-        break;
-      }
-      uint32_t Target =
-          Exit.Target ? static_cast<uint32_t>(Exit.Target + D) : 0;
-      uint32_t Linked =
-          Exit.LinkedStart ? static_cast<uint32_t>(Exit.LinkedStart + D)
-                           : 0;
-      Install.Exits.push_back(dbi::TraceExit{
-          static_cast<ExitKind>(Exit.Kind), Exit.InstIndex, Target,
-          nullptr});
-      Install.LinkedStarts.push_back(Linked);
-    }
-    if (BadExit) {
-      ++Result.TracesSkipped;
-      continue;
-    }
-    Install.PoolOffset = static_cast<uint32_t>(Pool.size());
-    Install.PoolBytes = static_cast<uint32_t>(Code.size());
-    Pool.insert(Pool.end(), Code.begin(), Code.end());
-    Result.PayloadBytesCopied += Code.size();
-    SeenStarts.insert(NewStart);
-    Installs.push_back(std::move(Install));
-  }
-
-  if (Pool.size() > Engine.options().CodePoolBytes) {
-    // Persistent pools unavailable: abandon persistence for this run
-    // (Section 3.2.2), continue with an empty code cache.
-    Result.RejectReason = "persistent pool exceeds code cache capacity";
-    Result.TracesSkipped +=
-        static_cast<uint32_t>(Installs.size());
-    Result.TracesInstalled = 0;
-    return Status::success();
-  }
-  Status S = Cache.installPersistedPool(std::move(Pool));
-  if (!S.ok())
-    return S;
-
-  std::unordered_map<uint32_t, TranslatedTrace *> ByStart;
-  std::vector<std::pair<TranslatedTrace *, std::vector<uint32_t>>>
-      LinkWork;
-  ByStart.reserve(Installs.size());
-  LinkWork.reserve(Installs.size());
-  Cache.reserveTraces(Installs.size());
-  for (PendingInstall &Install : Installs) {
-    auto T = std::make_unique<TranslatedTrace>(
-        Install.NewStart, Install.GuestInstCount, Install.PoolOffset,
-        Install.PoolBytes, std::move(Install.Exits),
-        /*FromPersistentCache=*/true);
-    T->setPersistedHeat(Install.Heat);
-    T->setOptGen(Install.OptGen);
-    auto Added = Cache.addTrace(std::move(T));
-    if (!Added) {
-      // Data pool exhausted: remaining traces fall back to translation.
-      ++Result.TracesSkipped;
-      continue;
-    }
-    if (Opts.CheckCertificates && Install.OptGen > 0)
-      PrimedCerts.emplace(Install.NewStart, std::move(Install.Cert));
-    ByStart.emplace(Install.NewStart, *Added);
-    LinkWork.emplace_back(*Added, std::move(Install.LinkedStarts));
-    ++Result.TracesInstalled;
-  }
-  Engine.stats().TracesLoadedFromCache += Result.TracesInstalled;
-
-  // Restore persisted trace links between installed traces.
-  if (Engine.options().EnableLinking) {
-    for (auto &[T, LinkedStarts] : LinkWork) {
-      for (uint32_t I = 0; I != LinkedStarts.size(); ++I) {
-        uint32_t Target = LinkedStarts[I];
-        if (Target == 0)
-          continue;
-        const dbi::TraceExit &Exit = T->exits()[I];
-        if (!dbi::isLinkableExit(Exit.Kind) || Exit.Target != Target)
-          continue;
-        auto It = ByStart.find(Target);
-        if (It == ByStart.end())
-          continue;
-        Cache.link(T, I, It->second);
-        ++Result.LinksRestored;
-      }
-    }
-  }
-  return Status::success();
-}
-
-ErrorOr<bool> PersistentSession::installViewXip(
-    dbi::Engine &Engine, const CacheFileView &View, PrimeResult &Result,
-    const std::vector<int64_t> &Delta,
-    const std::vector<std::pair<uint32_t, uint32_t>> &Region) {
-  // Whole-file gate. XIP executes the mapped payload bytes as-is, so it
-  // is only sound when nothing about this run wants to transform or
-  // re-decode them: the file must have been written page-aligned and
-  // relocation-free (v3), the host's in-memory instruction layout must
-  // equal the encoding, no validation mode may demand decoded private
-  // bodies, and every module must have validated at an unchanged base.
-  // Any disqualifier falls back to the materializing install, whose
-  // modeled charges are bit-identical.
-  if (!View.executeInPlace() || !isa::HostExecutesInPlace ||
-      Opts.ValidateSemantic || Opts.EagerValidate || !LoadedView)
-    return false;
-  for (size_t I = 0; I != Delta.size(); ++I)
-    if (ModuleValidated[I] && Delta[I] != 0)
-      return false; // Rebase would dirty shared pages.
-  if (View.payloadSize() > Engine.options().CodePoolBytes)
-    return false; // Materializing path reports the capacity rejection.
-
-  // Every trace must be usable: the borrowed pool is the whole payload
-  // section and each trace sits at its file code offset, which matches
-  // the materializing path's packed pool offsets only when no entry is
-  // skipped — the invariant behind the two paths' identical page-touch
-  // sequences (and thus identical stats).
-  struct PendingInstall {
-    uint32_t Start = 0;
-    uint32_t GuestInstCount = 0;
-    uint32_t PoolOffset = 0;
-    uint32_t PoolBytes = 0;
+    uint32_t Start = 0; ///< Rebased guest start.
     uint32_t TraceIndex = 0;
-    uint32_t Heat = 0;
-    uint32_t OptGen = 0;
+    int64_t Delta = 0;
+    uint32_t PoolOffset = 0;
     std::vector<dbi::TraceExit> Exits;
     std::vector<uint32_t> LinkedStarts;
-    std::vector<uint8_t> Cert;
   };
   std::vector<PendingInstall> Installs;
   std::unordered_set<uint32_t> SeenStarts;
@@ -649,57 +458,99 @@ ErrorOr<bool> PersistentSession::installViewXip(
   SeenStarts.reserve(View.numTraces());
   for (uint32_t TraceI = 0; TraceI != View.numTraces(); ++TraceI) {
     const TraceIndexEntry &E = View.entry(TraceI);
-    if (!ModuleValidated[E.ModuleIndex])
-      return false;
-    const auto [RegionBase, RegionSize] = Region[E.ModuleIndex];
+    const ModuleMatch &Mod = Matches[E.ModuleIndex];
+    const uint32_t Start = static_cast<uint32_t>(E.GuestStart + Mod.Delta);
     const size_t MinCodeBytes =
         dbi::TracePrologueBytes +
         static_cast<size_t>(E.GuestInstCount) * isa::InstructionSize;
-    bool Usable = E.GuestStart >= RegionBase &&
-                  E.GuestStart - RegionBase < RegionSize &&
-                  E.CodeSize >= MinCodeBytes &&
-                  static_cast<uint64_t>(E.CodeOffset) + E.CodeSize <=
-                      View.payloadSize() &&
-                  !SeenStarts.count(E.GuestStart);
-    if (!Usable)
-      return false;
-
+    bool Usable = Mod.State == ModuleState::Validated &&
+                  Start >= Mod.Base && Start - Mod.Base < Mod.Size &&
+                  E.CodeSize >= MinCodeBytes && !SeenStarts.count(Start);
     PendingInstall Install;
-    Install.Start = E.GuestStart;
-    Install.GuestInstCount = E.GuestInstCount;
-    Install.PoolOffset = E.CodeOffset;
-    Install.PoolBytes = E.CodeSize;
+    Install.Start = Start;
     Install.TraceIndex = TraceI;
-    Install.Heat = E.Heat;
-    Install.OptGen = E.OptGen;
-    if (Opts.CheckCertificates && E.OptGen > 0) {
-      // XIP never rebases (delta zero everywhere), so a certificate
-      // stays bound to the mapped body bytes as-is.
-      auto [CertData, CertSize] = View.certBlobOf(TraceI);
-      if (CertData)
-        Install.Cert.assign(CertData, CertData + CertSize);
+    Install.Delta = Mod.Delta;
+    if (Usable)
+      for (const ExitRecord &Exit : View.readExits(TraceI)) {
+        if (Exit.Kind > static_cast<uint8_t>(ExitKind::Halt)) {
+          Usable = false;
+          break;
+        }
+        uint32_t Target = Exit.Target
+                              ? static_cast<uint32_t>(Exit.Target + Mod.Delta)
+                              : 0;
+        uint32_t Linked =
+            Exit.LinkedStart
+                ? static_cast<uint32_t>(Exit.LinkedStart + Mod.Delta)
+                : 0;
+        Install.Exits.push_back(dbi::TraceExit{
+            static_cast<ExitKind>(Exit.Kind), Exit.InstIndex, Target,
+            nullptr});
+        Install.LinkedStarts.push_back(Linked);
+      }
+    if (!Usable) {
+      ++Result.TracesSkipped;
+      continue;
     }
-    for (const ExitRecord &Exit : View.readExits(TraceI)) {
-      if (Exit.Kind > static_cast<uint8_t>(ExitKind::Halt))
-        return false;
-      Install.Exits.push_back(dbi::TraceExit{
-          static_cast<ExitKind>(Exit.Kind), Exit.InstIndex, Exit.Target,
-          nullptr});
-      Install.LinkedStarts.push_back(Exit.LinkedStart);
-    }
-    SeenStarts.insert(E.GuestStart);
+    SeenStarts.insert(Start);
     Installs.push_back(std::move(Install));
   }
 
-  // Borrow the mapped payload wholesale: zero bytes copied, zero decode
-  // jobs queued. The view (keepalive) stays alive until the cache
-  // unmaps it — flush/eviction release, never free.
-  dbi::CodeCache &Cache = Engine.cache();
-  Status S = Cache.installBorrowedPool(
-      View.payloadBytes(), View.payloadSize(),
-      std::shared_ptr<const void>(LoadedView));
-  if (!S.ok())
-    return S;
+  // The body source. Execute-in-place borrows the file's mapped payload
+  // and runs its bytes as-is, so it is only sound when nothing about
+  // this run wants to transform or re-decode them: the file must have
+  // been written page-aligned and relocation-free (v3), the host's
+  // in-memory instruction layout must equal the encoding, no validation
+  // mode may demand decoded private bodies, and nothing may rebase
+  // (that would dirty shared pages). Every trace must be usable too:
+  // each sits at its file code offset, which matches the packed copy's
+  // offsets only when no entry is skipped — the invariant behind the
+  // two sources' identical page-touch sequences, and thus identical
+  // modeled stats. Any disqualifier selects the packed private copy.
+  const bool Xip =
+      View.executeInPlace() && isa::HostExecutesInPlace &&
+      !Opts.ValidateSemantic && !Opts.EagerValidate &&
+      Installs.size() == View.numTraces() &&
+      View.payloadSize() <= Engine.options().CodePoolBytes &&
+      std::all_of(Matches.begin(), Matches.end(),
+                  [](const ModuleMatch &M) { return M.Delta == 0; });
+  if (Xip) {
+    // Zero bytes copied, zero decode jobs queued. The view (keepalive)
+    // stays alive until the cache unmaps it — flush/eviction release,
+    // never free.
+    for (PendingInstall &Install : Installs)
+      Install.PoolOffset = View.entry(Install.TraceIndex).CodeOffset;
+    Status S = Cache.installBorrowedPool(
+        View.payloadBytes(), View.payloadSize(),
+        std::shared_ptr<const void>(LoadedView));
+    if (!S.ok())
+      return S;
+  } else {
+    // Code bytes are copied raw — no rebase — because each trace's CRC
+    // must run over the stored bytes at first execution; the rebase
+    // parameters ride along as the trace's PersistedPayload. The
+    // reservation is exact-fit: the pool is at most the file's whole
+    // code section.
+    std::vector<uint8_t> Pool;
+    Pool.reserve(View.codeBytes());
+    for (PendingInstall &Install : Installs) {
+      Install.PoolOffset = static_cast<uint32_t>(Pool.size());
+      const uint8_t *Code = View.codeBytesOf(Install.TraceIndex);
+      Pool.insert(Pool.end(), Code,
+                  Code + View.entry(Install.TraceIndex).CodeSize);
+    }
+    Result.PayloadBytesCopied += Pool.size();
+    if (Pool.size() > Engine.options().CodePoolBytes) {
+      // Persistent pools unavailable: abandon persistence for this run
+      // (Section 3.2.2), continue with an empty code cache.
+      Result.RejectReason = "persistent pool exceeds code cache capacity";
+      Result.TracesSkipped += static_cast<uint32_t>(Installs.size());
+      return Status::success();
+    }
+    Status S = Cache.installPersistedPool(std::move(Pool));
+    if (!S.ok())
+      return S;
+  }
 
   std::unordered_map<uint32_t, TranslatedTrace *> ByStart;
   std::vector<std::pair<TranslatedTrace *, std::vector<uint32_t>>>
@@ -707,235 +558,56 @@ ErrorOr<bool> PersistentSession::installViewXip(
   ByStart.reserve(Installs.size());
   LinkWork.reserve(Installs.size());
   Cache.reserveTraces(Installs.size());
+  const bool AsyncPrime = !Xip && Opts.Pool &&
+                          Opts.Pool->workerCount() > 0 &&
+                          !Opts.EagerValidate;
+  if (AsyncPrime)
+    AsyncJobs.reserve(Installs.size());
   for (PendingInstall &Install : Installs) {
+    const TraceIndexEntry &E = View.entry(Install.TraceIndex);
     auto Payload = std::make_unique<dbi::PersistedPayload>();
-    Payload->ExpectedCodeCrc = View.entry(Install.TraceIndex).CodeCrc;
-    Payload->RebaseDelta = 0;
-    // Execution never rebases (delta zero), but finalize() re-emits an
+    Payload->ExpectedCodeCrc = E.CodeCrc;
+    Payload->RebaseDelta = Install.Delta;
+    // XIP execution never rebases, but finalize() re-emits an
     // unexecuted trace's reloc mask with the record it carries forward.
     if (Opts.PositionIndependent)
       Payload->RelocMask = View.readRelocMask(Install.TraceIndex);
     Payload->SourceTraceIndex = Install.TraceIndex;
-    Payload->Xip = true;
+    Payload->Xip = Xip;
     auto T = std::make_unique<TranslatedTrace>(
-        Install.Start, Install.GuestInstCount, Install.PoolOffset,
-        Install.PoolBytes, std::move(Install.Exits),
-        /*FromPersistentCache=*/true);
+        Install.Start, E.GuestInstCount, Install.PoolOffset, E.CodeSize,
+        std::move(Install.Exits), /*FromPersistentCache=*/true);
     T->setPersistedPayload(std::move(Payload));
-    T->setPersistedHeat(Install.Heat);
-    T->setOptGen(Install.OptGen);
+    T->setPersistedHeat(E.Heat);
+    T->setOptGen(E.OptGen);
     auto Added = Cache.addTrace(std::move(T));
     if (!Added) {
       // Data pool exhausted: remaining traces fall back to translation
-      // (the materializing path hits the identical limit at the
-      // identical trace, so parity holds).
+      // (both body sources hit the identical limit at the identical
+      // trace, so parity holds).
       ++Result.TracesSkipped;
       continue;
     }
-    if (Opts.CheckCertificates && Install.OptGen > 0)
-      PrimedCerts.emplace(Install.Start, std::move(Install.Cert));
+    if (Opts.CheckCertificates && E.OptGen > 0) {
+      // A certificate binds to the exact stored body bytes, so a rebase
+      // invalidates it: the promoted trace is then re-proved in full at
+      // materialization (empty map entry).
+      std::vector<uint8_t> &Cert = PrimedCerts[Install.Start];
+      auto [CertData, CertSize] = View.certBlobOf(Install.TraceIndex);
+      if (CertData && Install.Delta == 0)
+        Cert.assign(CertData, CertData + CertSize);
+    }
+    if (AsyncPrime)
+      AsyncJobs.push_back(AsyncPayloadJob{
+          Install.Start, Install.TraceIndex, E.GuestInstCount, E.CodeSize,
+          E.CodeCrc, Install.Delta,
+          (*Added)->persistedPayload()->RelocMask});
     ByStart.emplace(Install.Start, *Added);
     LinkWork.emplace_back(*Added, std::move(Install.LinkedStarts));
     ++Result.TracesInstalled;
   }
   Engine.stats().TracesLoadedFromCache += Result.TracesInstalled;
 
-  if (Engine.options().EnableLinking) {
-    for (auto &[T, LinkedStarts] : LinkWork) {
-      for (uint32_t I = 0; I != LinkedStarts.size(); ++I) {
-        uint32_t Target = LinkedStarts[I];
-        if (Target == 0)
-          continue;
-        const dbi::TraceExit &Exit = T->exits()[I];
-        if (!dbi::isLinkableExit(Exit.Kind) || Exit.Target != Target)
-          continue;
-        auto It = ByStart.find(Target);
-        if (It == ByStart.end())
-          continue;
-        Cache.link(T, I, It->second);
-        ++Result.LinksRestored;
-      }
-    }
-  }
-  Result.XipInstalled = true;
-  return true;
-}
-
-Status PersistentSession::installView(dbi::Engine &Engine,
-                                      const CacheFileView &View,
-                                      PrimeResult &Result) {
-  dbi::CodeCache &Cache = Engine.cache();
-
-  std::vector<int64_t> Delta;
-  std::vector<std::pair<uint32_t, uint32_t>> Region;
-  validateModules(Engine, View.modules(), Result, Delta, Region);
-
-  // Execute-in-place fast path: borrow the file's mapped payload as the
-  // executable pool instead of copying and decoding it.
-  auto Xip = installViewXip(Engine, View, Result, Delta, Region);
-  if (!Xip)
-    return Xip.status();
-  if (*Xip)
-    return Status::success();
-
-  // Build the mapped pool image from usable index entries. Code bytes
-  // are copied *raw* — no rebase — because each trace's CRC must run
-  // over the stored bytes at first execution; the rebase parameters ride
-  // along as the trace's PersistedPayload.
-  struct PendingInstall {
-    uint32_t NewStart = 0;
-    uint32_t GuestInstCount = 0;
-    uint32_t PoolOffset = 0;
-    uint32_t PoolBytes = 0;
-    uint32_t TraceIndex = 0;
-    uint32_t Heat = 0;
-    uint32_t OptGen = 0;
-    std::vector<dbi::TraceExit> Exits;
-    std::vector<uint32_t> LinkedStarts;
-    std::unique_ptr<dbi::PersistedPayload> Payload;
-    std::vector<uint8_t> Cert;
-  };
-  std::vector<PendingInstall> Installs;
-  std::vector<uint8_t> Pool;
-  std::unordered_set<uint32_t> SeenStarts;
-  // Exact-fit reservations: the pool is at most the file's whole code
-  // section and there are at most numTraces installs, so the prime hot
-  // path never reallocates mid-copy.
-  Installs.reserve(View.numTraces());
-  Pool.reserve(View.codeBytes());
-  SeenStarts.reserve(View.numTraces());
-  const bool AsyncPrime =
-      Opts.Pool && Opts.Pool->workerCount() > 0 && !Opts.EagerValidate;
-
-  for (uint32_t TraceI = 0; TraceI != View.numTraces(); ++TraceI) {
-    const TraceIndexEntry &E = View.entry(TraceI);
-    if (!ModuleValidated[E.ModuleIndex]) {
-      ++Result.TracesSkipped;
-      continue;
-    }
-    const int64_t D = Delta[E.ModuleIndex];
-    const auto [RegionBase, RegionSize] = Region[E.ModuleIndex];
-    const uint32_t NewStart = static_cast<uint32_t>(E.GuestStart + D);
-    const size_t MinCodeBytes =
-        dbi::TracePrologueBytes +
-        static_cast<size_t>(E.GuestInstCount) * isa::InstructionSize;
-    bool Usable = NewStart >= RegionBase &&
-                  NewStart - RegionBase < RegionSize &&
-                  E.CodeSize >= MinCodeBytes && !SeenStarts.count(NewStart);
-    if (!Usable) {
-      ++Result.TracesSkipped;
-      continue;
-    }
-
-    PendingInstall Install;
-    Install.NewStart = NewStart;
-    Install.GuestInstCount = E.GuestInstCount;
-    bool BadExit = false;
-    // Exits and links come from the trace index, whose CRC was already
-    // validated at open — so restoring links here is safe even though
-    // the code payload is still unverified.
-    for (const ExitRecord &Exit : View.readExits(TraceI)) {
-      if (Exit.Kind > static_cast<uint8_t>(ExitKind::Halt)) {
-        BadExit = true;
-        break;
-      }
-      uint32_t Target =
-          Exit.Target ? static_cast<uint32_t>(Exit.Target + D) : 0;
-      uint32_t Linked =
-          Exit.LinkedStart ? static_cast<uint32_t>(Exit.LinkedStart + D)
-                           : 0;
-      Install.Exits.push_back(dbi::TraceExit{
-          static_cast<ExitKind>(Exit.Kind), Exit.InstIndex, Target,
-          nullptr});
-      Install.LinkedStarts.push_back(Linked);
-    }
-    if (BadExit) {
-      ++Result.TracesSkipped;
-      continue;
-    }
-
-    auto Payload = std::make_unique<dbi::PersistedPayload>();
-    Payload->ExpectedCodeCrc = E.CodeCrc;
-    Payload->RebaseDelta = D;
-    if (Opts.PositionIndependent)
-      Payload->RelocMask = View.readRelocMask(TraceI);
-    Payload->SourceTraceIndex = TraceI;
-    Install.Payload = std::move(Payload);
-    Install.TraceIndex = TraceI;
-    Install.Heat = E.Heat;
-    Install.OptGen = E.OptGen;
-    // A certificate binds to the exact stored body bytes, so a rebase
-    // invalidates it: the promoted trace is then re-proved in full at
-    // materialization (empty map entry).
-    if (Opts.CheckCertificates && E.OptGen > 0 && D == 0) {
-      auto [CertData, CertSize] = View.certBlobOf(TraceI);
-      if (CertData)
-        Install.Cert.assign(CertData, CertData + CertSize);
-    }
-
-    Install.PoolOffset = static_cast<uint32_t>(Pool.size());
-    Install.PoolBytes = E.CodeSize;
-    const uint8_t *Code = View.codeBytesOf(TraceI);
-    Pool.insert(Pool.end(), Code, Code + E.CodeSize);
-    Result.PayloadBytesCopied += E.CodeSize;
-    SeenStarts.insert(NewStart);
-    Installs.push_back(std::move(Install));
-  }
-
-  if (Pool.size() > Engine.options().CodePoolBytes) {
-    // Persistent pools unavailable: abandon persistence for this run
-    // (Section 3.2.2), continue with an empty code cache.
-    Result.RejectReason = "persistent pool exceeds code cache capacity";
-    Result.TracesSkipped += static_cast<uint32_t>(Installs.size());
-    Result.TracesInstalled = 0;
-    return Status::success();
-  }
-  Status S = Cache.installPersistedPool(std::move(Pool));
-  if (!S.ok())
-    return S;
-
-  std::unordered_map<uint32_t, TranslatedTrace *> ByStart;
-  std::vector<std::pair<TranslatedTrace *, std::vector<uint32_t>>>
-      LinkWork;
-  ByStart.reserve(Installs.size());
-  LinkWork.reserve(Installs.size());
-  Cache.reserveTraces(Installs.size());
-  if (AsyncPrime)
-    AsyncJobs.reserve(Installs.size());
-  for (PendingInstall &Install : Installs) {
-    AsyncPayloadJob Job;
-    if (AsyncPrime) {
-      Job.GuestStart = Install.NewStart;
-      Job.TraceIndex = Install.TraceIndex;
-      Job.GuestInstCount = Install.GuestInstCount;
-      Job.CodeSize = Install.PoolBytes;
-      Job.ExpectedCrc = Install.Payload->ExpectedCodeCrc;
-      Job.RebaseDelta = Install.Payload->RebaseDelta;
-      Job.RelocMask = Install.Payload->RelocMask;
-    }
-    auto T = std::make_unique<TranslatedTrace>(
-        Install.NewStart, Install.GuestInstCount, Install.PoolOffset,
-        Install.PoolBytes, std::move(Install.Exits),
-        /*FromPersistentCache=*/true);
-    T->setPersistedPayload(std::move(Install.Payload));
-    T->setPersistedHeat(Install.Heat);
-    T->setOptGen(Install.OptGen);
-    auto Added = Cache.addTrace(std::move(T));
-    if (!Added) {
-      // Data pool exhausted: remaining traces fall back to translation.
-      ++Result.TracesSkipped;
-      continue;
-    }
-    if (Opts.CheckCertificates && Install.OptGen > 0)
-      PrimedCerts.emplace(Install.NewStart, std::move(Install.Cert));
-    if (AsyncPrime)
-      AsyncJobs.push_back(std::move(Job));
-    ByStart.emplace(Install.NewStart, *Added);
-    LinkWork.emplace_back(*Added, std::move(Install.LinkedStarts));
-    ++Result.TracesInstalled;
-  }
-  Engine.stats().TracesLoadedFromCache += Result.TracesInstalled;
-
   // Restore persisted trace links between installed traces.
   if (Engine.options().EnableLinking) {
     for (auto &[T, LinkedStarts] : LinkWork) {
@@ -954,6 +626,7 @@ Status PersistentSession::installView(dbi::Engine &Engine,
       }
     }
   }
+  Result.XipInstalled = Xip;
   return Status::success();
 }
 
@@ -1210,7 +883,43 @@ PublishOutcome publishWithBreaker(CacheStore &Store,
   return Out;
 }
 
+/// Folds one finalize's publish and promotion outcomes into \p Stats
+/// (when given) — the one place both the synchronous and the background
+/// path record them, so their stats cannot drift apart — and returns
+/// the FailFast error when one applies.
+Status foldFinalizeOutcome(const PublishOutcome &Out, const OptOutcome &Opt,
+                           bool FailFast, dbi::EngineStats *Stats) {
+  if (Stats) {
+    Stats->PersistStoreRetries += Out.StoreRetries;
+    Stats->PersistStoreFailures += Out.StoreFailures;
+    Stats->TracesPromoted += Opt.TracesPromoted;
+    Stats->SuperblocksFormed += Opt.SuperblocksFormed;
+    Stats->OptLoadsEliminated += Opt.LoadsEliminated;
+    Stats->OptConstsFolded += Opt.ConstsFolded;
+    Stats->OptValidatorRejections += Opt.Rejections;
+  }
+  if (Out.Succeeded)
+    return Status::success();
+  if (FailFast)
+    return Out.LastError;
+  if (Stats) {
+    Stats->PersistDegraded = true;
+    Stats->PersistDegradeReason = Out.LastError.toString();
+  }
+  return Status::success();
+}
+
 } // namespace
+
+/// Outcome slot for a background finalize, filled by the pool worker
+/// and folded into EngineStats by wait().
+struct PersistentSession::FinalizeState {
+  std::mutex Mutex;
+  std::condition_variable Completed;
+  bool Done = false;
+  PublishOutcome Publish;
+  OptOutcome Opt;
+};
 
 Status PersistentSession::finalize(dbi::Engine &Engine) {
   assert(Primed && "finalize() requires a prior prime()");
@@ -1236,9 +945,7 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
   // relocation-free bodies are what make the shared payload pages
   // executable as-is by every later mapping at an unchanged base.
   File.ExecuteInPlace = Opts.ExecuteInPlace && Opts.PositionIndependent;
-  File.Generation = LoadedCache   ? LoadedCache->Generation + 1
-                    : LoadedView  ? LoadedView->generation() + 1
-                                  : 1;
+  File.Generation = LoadedView ? LoadedView->generation() + 1 : 1;
   File.WriterTag = static_cast<uint16_t>(currentProcessId() & 0xffff);
 
   File.Modules.reserve(Image.Modules.size());
@@ -1324,13 +1031,7 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
   // re-proving.
   std::unordered_map<uint32_t, std::pair<const uint8_t *, size_t>>
       PriorCerts;
-  if (LoadedCache) {
-    for (const TraceRecord &Rec : LoadedCache->Traces)
-      if (!Rec.Cert.empty())
-        PriorCerts.emplace(
-            Rec.GuestStart,
-            std::make_pair(Rec.Cert.data(), Rec.Cert.size()));
-  } else if (LoadedView && LoadedView->certsPresent()) {
+  if (LoadedView && LoadedView->certsPresent()) {
     for (uint32_t J = 0; J != LoadedView->numTraces(); ++J) {
       auto [CertData, CertSize] = LoadedView->certBlobOf(J);
       if (CertData)
@@ -1431,34 +1132,9 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
     File.Traces.push_back(std::move(Rec));
   }
 
-  // Prior-cache accessors, uniform over the eagerly loaded v1 file and
-  // the indexed v2 view. v2 record extraction CRC-checks the payload;
-  // failures drop only that trace from the carry-through.
-  const bool HasPrior = LoadedCache.has_value() || LoadedView != nullptr;
-  size_t PriorModules = LoadedCache  ? LoadedCache->Modules.size()
-                        : LoadedView ? LoadedView->numModules()
-                                     : 0;
-  size_t PriorTraces = LoadedCache  ? LoadedCache->Traces.size()
-                       : LoadedView ? LoadedView->numTraces()
-                                    : 0;
-  auto priorModule = [&](size_t I) -> const ModuleKey & {
-    return LoadedCache ? LoadedCache->Modules[I] : LoadedView->modules()[I];
-  };
-  auto priorTraceModule = [&](size_t J) -> uint32_t {
-    return LoadedCache
-               ? LoadedCache->Traces[J].ModuleIndex
-               : LoadedView->entry(static_cast<uint32_t>(J)).ModuleIndex;
-  };
-  auto priorTraceStart = [&](size_t J) -> uint32_t {
-    return LoadedCache
-               ? LoadedCache->Traces[J].GuestStart
-               : LoadedView->entry(static_cast<uint32_t>(J)).GuestStart;
-  };
-  auto priorRecord = [&](size_t J) -> ErrorOr<TraceRecord> {
-    if (LoadedCache)
-      return LoadedCache->Traces[J];
-    return LoadedView->record(static_cast<uint32_t>(J));
-  };
+  // Prior-trace extraction CRC-checks the payload; failures drop only
+  // that trace from the carry-through.
+  const CacheFileView *Prior = LoadedView.get();
 
   // Accumulation carry-through, part 1: traces of *validated* modules
   // that are no longer resident in the engine cache — dropped by a
@@ -1470,7 +1146,7 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
   // unchanged (always true for validated non-PIC modules; PIC reuse at
   // a new base would require rebasing the stale records, so those are
   // left to retranslation instead).
-  if (Opts.Accumulate && LoadedWasOwn && HasPrior) {
+  if (Opts.Accumulate && LoadedWasOwn && Prior) {
     std::unordered_set<uint32_t> Written;
     for (const TraceRecord &Rec : File.Traces)
       Written.insert(Rec.GuestStart);
@@ -1478,18 +1154,19 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
     for (size_t I = 0; I != File.Modules.size(); ++I)
       IndexByPath.emplace(File.Modules[I].Path,
                           static_cast<uint32_t>(I));
-    for (size_t I = 0; I != PriorModules; ++I) {
-      if (!ModuleLoadedNow[I] || !ModuleValidated[I])
+    for (uint32_t I = 0; I != Prior->numModules(); ++I) {
+      if (Matches[I].State != ModuleState::Validated)
         continue;
-      const ModuleKey &Old = priorModule(I);
+      const ModuleKey &Old = Prior->modules()[I];
       auto It = IndexByPath.find(Old.Path);
       if (It == IndexByPath.end() ||
           File.Modules[It->second].Base != Old.Base)
         continue;
-      for (size_t J = 0; J != PriorTraces; ++J) {
-        if (priorTraceModule(J) != I || Written.count(priorTraceStart(J)))
+      for (uint32_t J = 0; J != Prior->numTraces(); ++J) {
+        const TraceIndexEntry &E = Prior->entry(J);
+        if (E.ModuleIndex != I || Written.count(E.GuestStart))
           continue;
-        auto Copy = priorRecord(J);
+        auto Copy = Prior->record(J);
         if (!Copy)
           continue; // Corrupt prior payload: dropped from carry-through.
         Copy->ModuleIndex = It->second;
@@ -1504,11 +1181,11 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
   // coverage only grows over time (Section 4.4). Only applies to this
   // application's own cache; donor caches are never modified or
   // absorbed wholesale.
-  if (Opts.Accumulate && LoadedWasOwn && HasPrior) {
-    for (size_t I = 0; I != PriorModules; ++I) {
-      if (ModuleLoadedNow[I])
+  if (Opts.Accumulate && LoadedWasOwn && Prior) {
+    for (uint32_t I = 0; I != Prior->numModules(); ++I) {
+      if (Matches[I].State != ModuleState::Absent)
         continue;
-      const ModuleKey &Old = priorModule(I);
+      const ModuleKey &Old = Prior->modules()[I];
       bool Collides = false;
       for (const ModuleKey &Current : File.Modules)
         Collides |= regionsOverlap(Old.Base, Old.Size, Current.Base,
@@ -1517,10 +1194,10 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
         continue;
       uint32_t NewIndex = static_cast<uint32_t>(File.Modules.size());
       File.Modules.push_back(Old);
-      for (size_t J = 0; J != PriorTraces; ++J) {
-        if (priorTraceModule(J) != I)
+      for (uint32_t J = 0; J != Prior->numTraces(); ++J) {
+        if (Prior->entry(J).ModuleIndex != I)
           continue;
-        auto Copy = priorRecord(J);
+        auto Copy = Prior->record(J);
         if (!Copy)
           continue; // Corrupt prior payload: dropped from carry-through.
         Copy->ModuleIndex = NewIndex;
@@ -1584,8 +1261,7 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
   // from its own slot (a donor prime does not claim the slot's
   // history), so a concurrent finalizer that advanced the slot first is
   // detected and merged with instead of clobbered.
-  uint32_t BaseGeneration =
-      LoadedWasOwn && HasPrior ? File.Generation - 1 : 0;
+  uint32_t BaseGeneration = LoadedWasOwn && Prior ? File.Generation - 1 : 0;
 
   uint32_t Attempts = std::max(1u, Opts.BreakerThreshold);
 
@@ -1615,15 +1291,8 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
                              std::move(*FilePtr));
       {
         std::unique_lock<std::mutex> Lock(FinPtr->Mutex);
-        FinPtr->Succeeded = Out.Succeeded;
-        FinPtr->LastError = Out.LastError;
-        FinPtr->StoreFailures = Out.StoreFailures;
-        FinPtr->StoreRetries = Out.StoreRetries;
-        FinPtr->TracesPromoted = Opt.TracesPromoted;
-        FinPtr->SuperblocksFormed = Opt.SuperblocksFormed;
-        FinPtr->OptLoadsEliminated = Opt.LoadsEliminated;
-        FinPtr->OptConstsFolded = Opt.ConstsFolded;
-        FinPtr->OptValidatorRejections = Opt.Rejections;
+        FinPtr->Publish = std::move(Out);
+        FinPtr->Opt = Opt;
         FinPtr->Done = true;
       }
       FinPtr->Completed.notify_all();
@@ -1636,24 +1305,10 @@ Status PersistentSession::finalize(dbi::Engine &Engine) {
     promoteCacheFile(File, OptSources, Opts.OptMaxGen,
                      Opts.OptMaxSuperblockInsts, Opts.EmitCertificates,
                      Opt);
-  Stats.TracesPromoted += Opt.TracesPromoted;
-  Stats.SuperblocksFormed += Opt.SuperblocksFormed;
-  Stats.OptLoadsEliminated += Opt.LoadsEliminated;
-  Stats.OptConstsFolded += Opt.ConstsFolded;
-  Stats.OptValidatorRejections += Opt.Rejections;
-
   PublishOutcome Out =
       publishWithBreaker(Store, Opts.StoreAsPath, LookupKey,
                          BaseGeneration, Attempts, std::move(File));
-  Stats.PersistStoreRetries += Out.StoreRetries;
-  Stats.PersistStoreFailures += Out.StoreFailures;
-  if (Out.Succeeded)
-    return Status::success();
-  if (Opts.FailFast)
-    return Out.LastError;
-  Stats.PersistDegraded = true;
-  Stats.PersistDegradeReason = Out.LastError.toString();
-  return Status::success();
+  return foldFinalizeOutcome(Out, Opt, Opts.FailFast, &Stats);
 }
 
 Status PersistentSession::wait(dbi::EngineStats *Stats) {
@@ -1677,40 +1332,13 @@ Status PersistentSession::wait(dbi::EngineStats *Stats) {
   }
   if (!Fin)
     return Status::success();
-  PublishOutcome Out;
-  OptOutcome Opt;
+  std::shared_ptr<FinalizeState> Done = std::move(Fin);
   {
-    std::unique_lock<std::mutex> Lock(Fin->Mutex);
-    Fin->Completed.wait(Lock, [&] { return Fin->Done; });
-    Out.Succeeded = Fin->Succeeded;
-    Out.LastError = Fin->LastError;
-    Out.StoreFailures = Fin->StoreFailures;
-    Out.StoreRetries = Fin->StoreRetries;
-    Opt.TracesPromoted = Fin->TracesPromoted;
-    Opt.SuperblocksFormed = Fin->SuperblocksFormed;
-    Opt.LoadsEliminated = Fin->OptLoadsEliminated;
-    Opt.ConstsFolded = Fin->OptConstsFolded;
-    Opt.Rejections = Fin->OptValidatorRejections;
+    std::unique_lock<std::mutex> Lock(Done->Mutex);
+    Done->Completed.wait(Lock, [&] { return Done->Done; });
   }
-  Fin.reset();
-  if (Stats) {
-    Stats->PersistStoreRetries += Out.StoreRetries;
-    Stats->PersistStoreFailures += Out.StoreFailures;
-    Stats->TracesPromoted += Opt.TracesPromoted;
-    Stats->SuperblocksFormed += Opt.SuperblocksFormed;
-    Stats->OptLoadsEliminated += Opt.LoadsEliminated;
-    Stats->OptConstsFolded += Opt.ConstsFolded;
-    Stats->OptValidatorRejections += Opt.Rejections;
-  }
-  if (Out.Succeeded)
-    return Status::success();
-  if (Opts.FailFast)
-    return Out.LastError;
-  if (Stats) {
-    Stats->PersistDegraded = true;
-    Stats->PersistDegradeReason = Out.LastError.toString();
-  }
-  return Status::success();
+  return foldFinalizeOutcome(Done->Publish, Done->Opt, Opts.FailFast,
+                             Stats);
 }
 
 ErrorOr<PersistentRunResult> pcc::persist::runWithPersistence(

@@ -48,10 +48,7 @@
 #include "persist/Residency.h"
 #include "support/ThreadPool.h"
 
-#include <condition_variable>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -238,32 +235,17 @@ public:
 private:
   ErrorOr<StoredCache> locateCache(dbi::Engine &Engine,
                                    PrimeResult &Result);
-  /// Validates \p Persisted module keys against the loaded image,
-  /// filling ModuleValidated/ModuleLoadedNow and the per-module load
-  /// deltas and current mapping regions.
-  void validateModules(dbi::Engine &Engine,
-                       const std::vector<ModuleKey> &Persisted,
-                       PrimeResult &Result, std::vector<int64_t> &Delta,
-                       std::vector<std::pair<uint32_t, uint32_t>> &Region);
-  Status installCache(dbi::Engine &Engine, const CacheFile &File,
-                      PrimeResult &Result);
-  /// v2 install: traces enter the cache as unmaterialized index
-  /// references; code bytes are copied raw and their CRC + decode (and
-  /// PIC rebase) deferred to Engine::ensureMaterialized().
-  Status installView(dbi::Engine &Engine, const CacheFileView &View,
-                     PrimeResult &Result);
-  /// v3 execute-in-place install: the code cache borrows the view's
-  /// page-aligned payload section (kept alive by LoadedView) and every
-  /// trace is installed at its file code offset — zero payload bytes
-  /// copied, zero decode work queued. Returns false without touching
-  /// the engine when the file/session/host combination does not
-  /// qualify (any rebase delta, any unusable trace, validation modes,
-  /// big-endian host); the caller then falls back to the materializing
-  /// install, whose modeled stats are bit-identical.
-  ErrorOr<bool>
-  installViewXip(dbi::Engine &Engine, const CacheFileView &View,
-                 PrimeResult &Result, const std::vector<int64_t> &Delta,
-                 const std::vector<std::pair<uint32_t, uint32_t>> &Region);
+  /// Matches every module key of LoadedView against the loaded image,
+  /// filling Matches.
+  void validateModules(dbi::Engine &Engine, PrimeResult &Result);
+  /// Installs LoadedView's usable traces as unmaterialized index
+  /// references: their CRC + decode (and PIC rebase) is deferred to
+  /// Engine::ensureMaterialized(). The bodies are the view's mapped
+  /// payload, executed in place (zero bytes copied, zero decode work
+  /// queued), when the file, session and host qualify; otherwise a
+  /// packed private copy of the raw stored bytes. Both sources yield
+  /// bit-identical modeled stats.
+  Status installView(dbi::Engine &Engine, PrimeResult &Result);
 
   /// Hands the deferred payload jobs recorded by installView() to the
   /// worker pool and attaches the install queue to \p Engine.
@@ -273,7 +255,7 @@ private:
   PersistOptions Opts;
 
   /// One deferred payload-validation job, recorded at install time and
-  /// turned into a queue job once LoadedView owns the file bytes.
+  /// turned into a queue job by startAsyncPrime().
   struct AsyncPayloadJob {
     uint32_t GuestStart = 0;   ///< Rebased start (the install key).
     uint32_t TraceIndex = 0;   ///< Index into the source trace index.
@@ -291,34 +273,26 @@ private:
   /// Shared with the engine (consumer) and the pool workers.
   std::shared_ptr<dbi::TraceInstallQueue> Queue;
 
-  /// Outcome slot for a background finalize publish.
-  struct FinalizeState {
-    std::mutex Mutex;
-    std::condition_variable Completed;
-    bool Done = false;
-    bool Succeeded = false;
-    Status LastError = Status::success();
-    uint64_t StoreFailures = 0;
-    uint64_t StoreRetries = 0;
-    /// Optimization-tier outcome of the background promotion pass,
-    /// merged into EngineStats at wait() exactly as the synchronous
-    /// path records it.
-    uint64_t TracesPromoted = 0;
-    uint64_t SuperblocksFormed = 0;
-    uint64_t OptLoadsEliminated = 0;
-    uint64_t OptConstsFolded = 0;
-    uint64_t OptValidatorRejections = 0;
-  };
+  /// Outcome slot for a background finalize publish (defined with the
+  /// publish and promotion passes that fill it).
+  struct FinalizeState;
   std::shared_ptr<FinalizeState> Fin;
 
-  /// State carried from prime() to finalize(). At most one of
-  /// LoadedCache (v1) and LoadedView (v2) is engaged. The view is
-  /// shared because an XIP install hands it to the code cache as the
-  /// keepalive of the borrowed payload mapping.
-  std::optional<CacheFile> LoadedCache;
+  /// State carried from prime() to finalize(). The view is shared
+  /// because an XIP install hands it to the code cache as the keepalive
+  /// of the borrowed payload mapping.
   std::shared_ptr<CacheFileView> LoadedView;
-  std::vector<bool> ModuleValidated; ///< Per LoadedCache module.
-  std::vector<bool> ModuleLoadedNow; ///< Per LoadedCache module.
+  /// How one module of LoadedView matched the image loaded now.
+  enum class ModuleState : uint8_t { Absent, Invalidated, Validated };
+  struct ModuleMatch {
+    ModuleState State = ModuleState::Absent;
+    /// Validated modules only: load-base delta (now minus persisted)
+    /// and the current mapping region.
+    int64_t Delta = 0;
+    uint32_t Base = 0;
+    uint32_t Size = 0;
+  };
+  std::vector<ModuleMatch> Matches; ///< Per LoadedView module.
   /// Promoted traces installed by prime(), keyed by their (rebased)
   /// start address: the value is the validation certificate that rode
   /// in with the record, or empty when none is usable (rebase delta,

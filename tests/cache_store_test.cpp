@@ -10,12 +10,14 @@
 
 #include "dbi/CostModel.h"
 #include "persist/CacheDatabase.h"
+#include "persist/DbCheck.h"
 #include "persist/DirectoryStore.h"
 #include "persist/MemoryStore.h"
 #include "persist/Session.h"
 #include "persist/TieredStore.h"
 #include "support/FaultInjector.h"
 #include "support/FileLock.h"
+#include "support/Hashing.h"
 
 #include "TestUtils.h"
 
@@ -62,6 +64,24 @@ CacheFile makeFileWithStarts(std::initializer_list<uint32_t> Starts,
     File.Traces.push_back(std::move(Trace));
   }
   return File;
+}
+
+/// A retired v1 ("PCC1") cache file as its last writers emitted it:
+/// magic, v1 format version, identity hashes, generation and empty
+/// module and trace tables, sealed by the whole-file CRC.
+std::vector<uint8_t> legacyV1Image() {
+  ByteWriter Writer;
+  Writer.writeU32(LegacyCacheMagic);
+  Writer.writeU32(2); // v1's own format-version field.
+  Writer.writeU64(dbi::engineVersionHash());
+  Writer.writeU64(noToolHash());
+  Writer.writeU8(0);  // SpecBits.
+  Writer.writeU8(0);  // PositionIndependent.
+  Writer.writeU32(3); // Generation.
+  Writer.writeU32(0); // Modules.
+  Writer.writeU32(0); // Traces.
+  Writer.writeU32(crc32(Writer.bytes().data(), Writer.size()));
+  return Writer.take();
 }
 
 std::set<uint32_t> startsOf(const CacheFile &File) {
@@ -112,8 +132,8 @@ TEST_P(CacheStoreTest, PutOpenLoadRetireRoundtrip) {
 
   auto Opened = Store->openKey(7, CacheFileView::Depth::Index);
   ASSERT_TRUE(Opened.ok()) << Opened.status().toString();
-  EXPECT_EQ(Opened->generation(), 3u);
-  EXPECT_EQ(Opened->engineHash(), dbi::engineVersionHash());
+  EXPECT_EQ(Opened->View.generation(), 3u);
+  EXPECT_EQ(Opened->View.engineHash(), dbi::engineVersionHash());
 
   auto Loaded = Store->loadKey(7);
   ASSERT_TRUE(Loaded.ok());
@@ -319,6 +339,96 @@ TEST_P(CacheStoreTest, ConcurrentFinalizeMergesBothSessions) {
     ASSERT_TRUE(Replay.ok()) << Replay.status().toString();
     EXPECT_TRUE(Replay->Prime.CacheFound);
     EXPECT_EQ(Replay->Stats.TracesCompiled, 0u);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// A retired v1 file in an application's own slot, on the two flat
+// backends: the format is no longer read, so it is a stale version —
+// a miss, never quarantined — and the next finalize overwrites it.
+//===----------------------------------------------------------------------===//
+
+class LegacySlotTest : public ::testing::TestWithParam<const char *> {
+protected:
+  TempDir Dir;
+};
+
+INSTANTIATE_TEST_SUITE_P(Backends, LegacySlotTest,
+                         ::testing::Values("dir", "mem"));
+
+TEST_P(LegacySlotTest, V1FileMissesAndIsOverwrittenAtFinalize) {
+  const bool OnDisk = std::string(GetParam()) == "dir";
+  const std::string StoreDir = Dir.path() + "/store";
+  std::shared_ptr<MemoryStore> Mem;
+  std::shared_ptr<CacheStore> Store;
+  if (OnDisk)
+    Store = std::make_shared<DirectoryStore>(StoreDir);
+  else
+    Store = Mem = std::make_shared<MemoryStore>();
+  CacheDatabase Db(Store);
+
+  TinyWorkload W = makeTinyWorkload(3, 2);
+  auto Input = W.allSlotsInput(2);
+  auto M = workloads::makeMachine(W.Registry, W.App, Input);
+  ASSERT_TRUE(M.ok());
+  const uint64_t Key =
+      computeLookupKey(ModuleKey::compute(M->image().Modules.front()),
+                       dbi::engineVersionHash(), noToolHash());
+  const std::string Ref = Store->refFor(Key);
+  if (OnDisk)
+    ASSERT_TRUE(writeFileAtomic(Ref, legacyV1Image()).ok());
+  else
+    Mem->putImage(Ref, legacyV1Image());
+
+  if (OnDisk) {
+    // The database check judges the file through the one view path.
+    auto Report = checkDatabase(StoreDir);
+    ASSERT_TRUE(Report.ok()) << Report.status().toString();
+    ASSERT_EQ(Report->Files.size(), 1u);
+    EXPECT_EQ(Report->Files[0].State,
+              FileCheckReport::FileState::Corrupt);
+    EXPECT_NE(Report->Files[0].Detail.find("version mismatch"),
+              std::string::npos)
+        << Report->Files[0].Detail;
+  }
+
+  dbi::Engine Engine(*M, nullptr, dbi::EngineOptions());
+  PersistentSession Session(Db);
+  auto Prime = Session.prime(Engine);
+  ASSERT_TRUE(Prime.ok()) << Prime.status().toString();
+  ASSERT_EQ(Session.lookupKey(), Key);
+  EXPECT_FALSE(Prime->CacheFound);
+  EXPECT_NE(Prime->RejectReason.find("legacy (v1)"), std::string::npos)
+      << Prime->RejectReason;
+  auto Quarantine = Store->quarantined();
+  ASSERT_TRUE(Quarantine.ok());
+  EXPECT_TRUE(Quarantine->empty());
+
+  Engine.run();
+  ASSERT_TRUE(Session.finalize(Engine).ok());
+  auto Now = Store->openRef(Ref, CacheFileView::Depth::Index);
+  ASSERT_TRUE(Now.ok()) << Now.status().toString();
+  EXPECT_EQ(Now->View.formatVersion(), v2::Version);
+  EXPECT_EQ(Now->View.generation(), 1u);
+  EXPECT_GT(Now->View.numTraces(), 0u);
+
+  if (OnDisk) {
+    // Under --repair a stale file is quarantined as version-mismatch;
+    // the rewritten slot beside it checks clean.
+    ASSERT_TRUE(
+        writeFileAtomic(StoreDir + "/ffffffffffffffff.pcc", legacyV1Image())
+            .ok());
+    DbCheckOptions Opts;
+    Opts.Repair = true;
+    auto Report = checkDatabase(StoreDir, Opts);
+    ASSERT_TRUE(Report.ok()) << Report.status().toString();
+    EXPECT_EQ(Report->FilesClean, 1u);
+    EXPECT_EQ(Report->FilesQuarantined, 1u);
+    auto Entries = Store->quarantined();
+    ASSERT_TRUE(Entries.ok());
+    ASSERT_EQ(Entries->size(), 1u);
+    EXPECT_EQ((*Entries)[0].Name, "ffffffffffffffff.pcc");
+    EXPECT_EQ((*Entries)[0].Code, QuarantineReasonCode::VersionMismatch);
   }
 }
 
@@ -575,6 +685,39 @@ TEST(TieredStoreTest, SessionSurvivesRemoteOutage) {
   EXPECT_TRUE(Warm->Prime.CacheFound);
   EXPECT_EQ(Warm->Stats.TracesCompiled, 0u);
   EXPECT_GT(Store->tieredStats().RemoteFailures, 0u);
+  EXPECT_TRUE(Cold->Run.observablyEquals(Warm->Run));
+}
+
+TEST(TieredStoreTest, FailedL1FillServesTheFetchedImage) {
+  TinyWorkload W = makeTinyWorkload(3, 2);
+  TempDir Dir;
+  auto L1 = std::make_shared<DirectoryStore>(Dir.path() + "/l1");
+  auto L2 = std::make_shared<MemoryStore>("<remote>");
+  auto Input = W.allSlotsInput(2);
+
+  // Published elsewhere in the fleet: only the shared tier has it.
+  CacheDatabase RemoteDb(L2);
+  auto Cold = workloads::runPersistent(W.Registry, W.App, Input, RemoteDb);
+  ASSERT_TRUE(Cold.ok()) << Cold.status().toString();
+
+  // Every local write fails, so the read-through fill cannot land and
+  // prime is served from a view over the fetched image instead.
+  auto Store = std::make_shared<TieredStore>(L1, L2);
+  CacheDatabase Db(Store);
+  FaultScope Faults;
+  FaultInjector::instance().armProbability(FaultOp::Enospc, 1.0);
+  auto Warm = workloads::runPersistent(W.Registry, W.App, Input, Db);
+  FaultInjector::instance().reset();
+  ASSERT_TRUE(Warm.ok()) << Warm.status().toString();
+  auto LocalRefs = L1->listRefs();
+  ASSERT_TRUE(LocalRefs.ok());
+  EXPECT_TRUE(LocalRefs->empty());
+
+  EXPECT_TRUE(Warm->Prime.CacheFound);
+  EXPECT_EQ(Warm->Stats.PersistL2Hits, 1u);
+  EXPECT_EQ(Warm->Stats.PersistL1Hits, 0u);
+  EXPECT_GT(Warm->Prime.TracesInstalled, 0u);
+  EXPECT_EQ(Warm->Stats.TracesCompiled, 0u);
   EXPECT_TRUE(Cold->Run.observablyEquals(Warm->Run));
 }
 
@@ -900,11 +1043,6 @@ TEST(WriterTagTest, RoundTripsThroughV2HeaderAndView) {
   auto Back = CacheFile::deserialize(File.serialize());
   ASSERT_TRUE(Back.ok());
   EXPECT_EQ(Back->WriterTag, 0xBEEFu);
-
-  // Legacy files have no tag slot: it reads back untagged.
-  auto Legacy = CacheFile::deserialize(File.serializeLegacy());
-  ASSERT_TRUE(Legacy.ok());
-  EXPECT_EQ(Legacy->WriterTag, 0u);
 }
 
 TEST(WriterTagTest, FinalizeTagsTheCacheWithThisProcess) {

@@ -474,7 +474,7 @@ TEST(OptTier, StaleGen0FinalizerCannotClobberPromotedTieredArtifact) {
   auto L1View =
       L1->openKey(Key, persist::CacheFileView::Depth::HeaderOnly);
   ASSERT_TRUE(L1View.ok());
-  EXPECT_TRUE(L1View->View && L1View->View->optGenEntries());
+  EXPECT_TRUE(L1View->View.optGenEntries());
 
   // Merged records also kept the larger heat of the two copies.
   auto ByStart = [](const persist::CacheFile &F) {

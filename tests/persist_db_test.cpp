@@ -9,7 +9,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "persist/CacheDatabase.h"
+#include "persist/DbCheck.h"
 #include "persist/Session.h"
+#include "support/Hashing.h"
 
 #include "TestUtils.h"
 
@@ -197,6 +199,53 @@ TEST(Database, ScansSurviveBadIndexCrc) {
   EXPECT_EQ(*Removed, 1u);
   EXPECT_TRUE(Db.exists(1));
   EXPECT_FALSE(Db.exists(2));
+}
+
+TEST(Database, ResealedModuleCountIsRejectedCleanly) {
+  // The header CRC protects NumModules only against accidents: a
+  // writer can set any count and reseal the header. A count the module
+  // table cannot hold must be rejected before anything is sized by it.
+  for (uint32_t NumModules : {0x7fffffffu, 5000000u}) {
+    TempDir Dir;
+    CacheDatabase Db(Dir.path());
+    ASSERT_TRUE(Db.store(1, makeFileWithTraces(4, 1)).ok());
+    auto Bytes = readFile(Db.pathFor(1));
+    ASSERT_TRUE(Bytes.ok());
+    // NumModules is the u32 at byte 32; HeaderCrc, over bytes [0, 72),
+    // is the u32 at byte 72 (see CacheView.h).
+    for (unsigned I = 0; I != 4; ++I)
+      (*Bytes)[32 + I] = static_cast<uint8_t>(NumModules >> (8 * I));
+    uint32_t HeaderCrc = crc32(Bytes->data(), 72);
+    for (unsigned I = 0; I != 4; ++I)
+      (*Bytes)[72 + I] = static_cast<uint8_t>(HeaderCrc >> (8 * I));
+    ASSERT_TRUE(writeFileAtomic(Db.pathFor(1), *Bytes).ok());
+
+    for (auto D :
+         {CacheFileView::Depth::HeaderOnly, CacheFileView::Depth::Index}) {
+      auto View = CacheFileView::open(*Bytes, D);
+      ASSERT_FALSE(View.ok());
+      EXPECT_EQ(View.status().code(), ErrorCode::InvalidFormat)
+          << View.status().toString();
+    }
+
+    auto Report = checkDatabase(Dir.path());
+    ASSERT_TRUE(Report.ok()) << Report.status().toString();
+    ASSERT_EQ(Report->Files.size(), 1u);
+    EXPECT_EQ(Report->Files[0].State, FileCheckReport::FileState::Corrupt);
+    EXPECT_NE(Report->Files[0].Detail.find("module count"),
+              std::string::npos)
+        << Report->Files[0].Detail;
+
+    // A store open rejects it the same way and pulls it aside.
+    auto Opened =
+        Db.backend()->openRef(Db.pathFor(1), CacheFileView::Depth::Index);
+    ASSERT_FALSE(Opened.ok());
+    EXPECT_EQ(Opened.status().code(), ErrorCode::InvalidFormat);
+    EXPECT_FALSE(Db.exists(1));
+    auto Quarantined = Db.quarantined();
+    ASSERT_TRUE(Quarantined.ok());
+    EXPECT_EQ(Quarantined->size(), 1u);
+  }
 }
 
 TEST(Database, ShrinkNoopWhenUnderBudget) {

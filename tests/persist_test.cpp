@@ -214,12 +214,10 @@ TEST(Database, ClearRemovesEverything) {
 }
 
 //===----------------------------------------------------------------------===//
-// Format migration: legacy (v1) cache files still deserialize, prime
-// identically to their v2 rewrite, and are upgraded to v2 by the next
-// finalize().
+// Cache format: the indexed v2 encoding round-trips every field.
 //===----------------------------------------------------------------------===//
 
-TEST(FormatMigration, LegacyAndV2RoundTripAgree) {
+TEST(CacheFormat, V2RoundTripKeepsContent) {
   CacheFile File;
   File.EngineHash = 11;
   File.ToolHash = 22;
@@ -241,94 +239,19 @@ TEST(FormatMigration, LegacyAndV2RoundTripAgree) {
   Trace.setRelocBit(2);
   File.Traces.push_back(Trace);
 
-  auto FromLegacy = CacheFile::deserialize(File.serializeLegacy());
-  ASSERT_TRUE(FromLegacy.ok()) << FromLegacy.status().toString();
-  auto FromV2 = CacheFile::deserialize(File.serialize());
-  ASSERT_TRUE(FromV2.ok()) << FromV2.status().toString();
-  EXPECT_EQ(FromLegacy->SourceFormat, 1u);
-  EXPECT_EQ(FromV2->SourceFormat, 2u);
-  EXPECT_TRUE(FromLegacy->validate().ok());
-  EXPECT_TRUE(FromV2->validate().ok());
-
-  // Same logical content regardless of the on-disk format.
-  for (const CacheFile *Back : {&*FromLegacy, &*FromV2}) {
-    EXPECT_EQ(Back->EngineHash, 11u);
-    EXPECT_EQ(Back->Generation, 4u);
-    ASSERT_EQ(Back->Modules.size(), 1u);
-    EXPECT_EQ(Back->Modules[0].Path, "/bin/y");
-    ASSERT_EQ(Back->Traces.size(), 1u);
-    EXPECT_EQ(Back->Traces[0].Code, Trace.Code);
-    EXPECT_EQ(Back->Traces[0].Exits.size(), 1u);
-    EXPECT_TRUE(Back->Traces[0].relocBit(2));
-    EXPECT_FALSE(Back->Traces[0].relocBit(1));
-  }
-}
-
-TEST(FormatMigration, V1PrimesIdenticallyToV2) {
-  TinyWorkload W = makeTinyWorkload(6, 3);
-  auto Input = W.allSlotsInput(4);
-  TempDir Dir;
-  CacheDatabase Db(Dir.path());
-  auto Cold = mustRunPersistent(W, Input, Db);
-  EXPECT_FALSE(Cold.Prime.CacheFound);
-
-  auto Files = listDirectory(Dir.path());
-  ASSERT_TRUE(Files.ok());
-  ASSERT_EQ(Files->size(), 1u);
-  std::string Path = Dir.path() + "/" + (*Files)[0];
-  ASSERT_TRUE(isV2CacheFile(Path));
-
-  PersistOptions ReadOnly;
-  ReadOnly.WriteBack = false;
-  auto WarmV2 = mustRunPersistent(W, Input, Db, ReadOnly);
-
-  // Downgrade the same cache to the legacy format in place.
-  auto AsFile = Db.loadPath(Path);
-  ASSERT_TRUE(AsFile.ok()) << AsFile.status().toString();
-  ASSERT_TRUE(writeFileAtomic(Path, AsFile->serializeLegacy()).ok());
-  ASSERT_FALSE(isV2CacheFile(Path));
-  auto WarmV1 = mustRunPersistent(W, Input, Db, ReadOnly);
-
-  // Both formats prime the exact same trace set and restore the same
-  // links; the runs are observably identical.
-  EXPECT_TRUE(WarmV1.Prime.CacheFound);
-  EXPECT_TRUE(WarmV2.Prime.CacheFound);
-  EXPECT_EQ(WarmV1.Prime.TracesInstalled, WarmV2.Prime.TracesInstalled);
-  EXPECT_EQ(WarmV1.Prime.TracesSkipped, WarmV2.Prime.TracesSkipped);
-  EXPECT_EQ(WarmV1.Prime.ModulesValidated, WarmV2.Prime.ModulesValidated);
-  EXPECT_EQ(WarmV1.Prime.ModulesInvalidated,
-            WarmV2.Prime.ModulesInvalidated);
-  EXPECT_EQ(WarmV1.Prime.LinksRestored, WarmV2.Prime.LinksRestored);
-  EXPECT_EQ(WarmV1.Stats.TracesCompiled, WarmV2.Stats.TracesCompiled);
-  EXPECT_TRUE(WarmV1.Run.observablyEquals(WarmV2.Run));
-}
-
-TEST(FormatMigration, V1RewrittenAsV2AtFinalize) {
-  TinyWorkload W = makeTinyWorkload(4, 2);
-  auto Input = W.allSlotsInput(3);
-  TempDir Dir;
-  CacheDatabase Db(Dir.path());
-  (void)mustRunPersistent(W, Input, Db);
-
-  auto Files = listDirectory(Dir.path());
-  ASSERT_TRUE(Files.ok());
-  ASSERT_EQ(Files->size(), 1u);
-  std::string Path = Dir.path() + "/" + (*Files)[0];
-  auto AsFile = Db.loadPath(Path);
-  ASSERT_TRUE(AsFile.ok());
-  ASSERT_TRUE(writeFileAtomic(Path, AsFile->serializeLegacy()).ok());
-  ASSERT_FALSE(isV2CacheFile(Path));
-
-  // A default (write-back) warm run consumes the v1 file and rewrites
-  // the slot in the indexed format, with the generation advanced.
-  auto Warm = mustRunPersistent(W, Input, Db);
-  EXPECT_TRUE(Warm.Prime.CacheFound);
-  EXPECT_TRUE(isV2CacheFile(Path));
-  auto Upgraded = Db.loadPath(Path);
-  ASSERT_TRUE(Upgraded.ok()) << Upgraded.status().toString();
-  EXPECT_EQ(Upgraded->SourceFormat, 2u);
-  EXPECT_EQ(Upgraded->Generation, AsFile->Generation + 1);
-  EXPECT_TRUE(Upgraded->validate().ok());
+  auto Back = CacheFile::deserialize(File.serialize());
+  ASSERT_TRUE(Back.ok()) << Back.status().toString();
+  EXPECT_EQ(Back->SourceFormat, 2u);
+  EXPECT_TRUE(Back->validate().ok());
+  EXPECT_EQ(Back->EngineHash, 11u);
+  EXPECT_EQ(Back->Generation, 4u);
+  ASSERT_EQ(Back->Modules.size(), 1u);
+  EXPECT_EQ(Back->Modules[0].Path, "/bin/y");
+  ASSERT_EQ(Back->Traces.size(), 1u);
+  EXPECT_EQ(Back->Traces[0].Code, Trace.Code);
+  EXPECT_EQ(Back->Traces[0].Exits.size(), 1u);
+  EXPECT_TRUE(Back->Traces[0].relocBit(2));
+  EXPECT_FALSE(Back->Traces[0].relocBit(1));
 }
 
 TEST(SameInput, FirstRunGeneratesCache) {

@@ -8,6 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "persist/CacheFile.h"
+#include "persist/CacheView.h"
 #include "persist/DirectoryStore.h"
 #include "support/FileSystem.h"
 #include "support/StringUtils.h"
@@ -65,8 +66,9 @@ int main(int Argc, char **Argv) {
               Structural.ok() ? "ok"
                               : Structural.toString().c_str());
   std::printf("  format         v%u (%s)\n", File->SourceFormat,
-              File->SourceFormat >= 2 ? "indexed, lazy per-trace CRCs"
-                                      : "legacy, whole-file CRC");
+              File->SourceFormat == v2::XipVersion
+                  ? "indexed, execute-in-place payload"
+                  : "indexed, lazy per-trace CRCs");
   std::printf("  engine key     %016llx\n",
               (unsigned long long)File->EngineHash);
   std::printf("  tool key       %016llx  (spec bits 0x%02x)\n",

@@ -96,11 +96,11 @@ int main(int Argc, char **Argv) {
           "--clear | --locks | --heat | --gens] [--l2 DIR2] [--jobs N]\n"
           "  --header-only  per-file listing from v2/v3 headers alone:\n"
           "                 each cache costs one 76-byte read regardless\n"
-          "                 of size (legacy v1 files are listed by magic\n"
-          "                 only, without header fields); shows the\n"
-          "                 payload mode (xip/mat), payload page count\n"
-          "                 and alignment, and each file's open cost in\n"
-          "                 the scan column\n"
+          "                 of size (a file whose header does not open\n"
+          "                 is listed as unusable with its reason); shows\n"
+          "                 the payload mode (xip/mat), payload page\n"
+          "                 count and alignment, and each file's open\n"
+          "                 cost in the scan column\n"
           "  --shrink-to N  evict caches until the database is <= N "
           "bytes\n"
           "  --clear        delete every cache file\n"
@@ -164,15 +164,10 @@ int main(int Argc, char **Argv) {
                 std::chrono::steady_clock::now() - Begin)
                 .count());
       };
-      if (!isV2CacheFile(Path)) {
-        Rows[I] = {Name, "v1", "-", "-", "-", "-", "-",
-                   "-",  "-",  "-", "-", "-", ElapsedMicros()};
-        return;
-      }
       auto View =
           CacheFileView::openFile(Path, CacheFileView::Depth::HeaderOnly);
       if (!View) {
-        Rows[I] = {Name, "v2", "corrupt: " + View.status().toString(),
+        Rows[I] = {Name, "-", "unusable: " + View.status().toString(),
                    "",   "",   "",
                    "",   "",   "",
                    "",   "",   "",
